@@ -24,8 +24,8 @@ The package is organised around the paper's pipeline:
     batch runner.  ``CSPM`` is a thin facade over the default
     pipeline.
 ``repro.runtime``
-    The supervised parallel runtime: every worker pool (partitioned
-    construction, sharded search, batch runs) gets per-task timeouts,
+    The supervised parallel runtime: every worker pool (sharded
+    search, batch runs) gets per-task timeouts,
     bounded deterministic retries, bit-exact degrade-to-serial, and
     reproducible fault injection (:class:`FaultPlan`) — see
     ``docs/RESILIENCE.md``.
@@ -96,7 +96,7 @@ from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 from repro.runtime import FaultEvent, FaultPlan
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "AStar",

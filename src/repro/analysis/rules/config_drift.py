@@ -32,6 +32,8 @@ FLAG_ALIASES: Dict[str, str] = {
 EXEMPT_FIELDS: Dict[str, str] = {
     "include_model_cost": "ablation knob, set via the API by benchmarks",
     "max_iterations": "safety cap for embedders, API-only by design",
+    "construction": "single allowed value 'serial'; kept so that job "
+    "documents pinning it keep loading",
 }
 
 #: Functions that mark a module as flag-bearing: the drift check only

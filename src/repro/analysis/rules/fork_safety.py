@@ -1,6 +1,6 @@
 """Fork/pickle-safety rules for the multiprocessing paths.
 
-The partitioned builder (``core/construction.py``) and the batch runner
+The sharded search (``core/search_shard.py``) and the batch runner
 (``batch.py``) fan work out over ``ProcessPoolExecutor``.  Two
 contracts keep that safe (see docs/INVARIANTS.md, family 3):
 
@@ -8,10 +8,10 @@ contracts keep that safe (see docs/INVARIANTS.md, family 3):
   name in the worker process — a module-level function.  Lambdas and
   closures pickle by reference to a scope the worker does not have and
   fail only at runtime, on the non-fork platforms CI does not cover;
-* the payloads workers return (the ``PartitionResult`` columns) must be
-  built from plainly picklable types, because the reverse pickle is the
-  partitioned path's dominant cost and an unpicklable column fails
-  after the build work is already spent.
+* the payloads workers return (the ``ComponentRun`` columns) must be
+  built from plainly picklable types, because the reverse pickle is a
+  worker's dominant fixed cost and an unpicklable column fails after
+  the search work is already spent.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ POOL_SUBMIT_METHODS = frozenset(
 CALLABLE_KEYWORDS = frozenset({"initializer", "target"})
 
 #: Identifiers allowed in worker-payload dataclass annotations in
-#: core/construction.py: containers, scalars, and the module's own
+#: core/search_shard.py: containers, scalars, and the module's own
 #: key/mask aliases — everything that pickles by value.
 PAYLOAD_ALLOWED_TYPES = frozenset(
     {
@@ -73,7 +73,6 @@ PAYLOAD_ALLOWED_TYPES = frozenset(
         "CoreKey",
         "RowKey",
         "Mask",
-        "PlanItem",
     }
 )
 
@@ -245,9 +244,8 @@ class WorkerPayloadRule(Rule):
     """FRK002: worker-payload dataclasses in the multiprocessing
     modules restrict their fields to plainly picklable column types.
 
-    Every ``@dataclass`` in the partitioned-construction and sharded-
-    search modules is a cross-process payload (today:
-    ``PartitionResult`` and ``ComponentRun``).  Field annotations may
+    Every ``@dataclass`` in the sharded-search module is a
+    cross-process payload (today: ``ComponentRun``).  Field annotations may
     only use the allowlisted container/scalar names and the module's
     own key/mask aliases — no callables, no live database or graph
     types, nothing that drags un-picklable or megabyte-per-entry state
@@ -258,7 +256,7 @@ class WorkerPayloadRule(Rule):
     title = "non-allowlisted type in a worker-payload dataclass"
 
     #: Modules whose dataclasses are cross-process payloads.
-    WORKER_MODULES = ("core/construction.py", "core/search_shard.py")
+    WORKER_MODULES = ("core/search_shard.py",)
 
     def check_module(
         self, module: SourceModule, context: LintContext

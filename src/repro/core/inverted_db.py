@@ -12,12 +12,12 @@ co-occurrence counts behind Eq. 9-15 are position-set intersections,
 and AND+popcount on machine words is what keeps gain computation fast
 at Pokec scale.  The mask *representation* is pluggable
 (:mod:`repro.core.masks`): whole-graph Python ints (``bigint``, the
-default), sparse dict-of-chunk bitmaps (``chunked``) or numpy-packed
-chunks (``numpy``) — all bit-exact interchangeable, selected per
-database at construction.  The vertex->bit table is precomputed once
-per construction (in first-touch order over repr-sorted coresets, so
-community positions land in adjacent bits) and shared by every mask
-the database owns; after construction the order is *frozen* (see
+default) or sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
+interchangeable, selected per database at construction.  The
+vertex->bit table is precomputed once per construction (in
+first-touch order over repr-sorted coresets, so community positions
+land in adjacent bits) and shared by every mask the database owns;
+after construction the order is *frozen* (see
 :meth:`InvertedDatabase._bit_of`).
 
 Construction itself is **columnar**: phase 1 plans the iteration and
@@ -26,11 +26,7 @@ the full sorted bit list and materialises each coreset's rows with one
 bulk ``MaskBackend.make_batch`` call, deriving row/coreset frequencies
 from batch lengths instead of per-bit increments.  The per-triple
 reference path survives as :meth:`InvertedDatabase._from_graph_triples`
-(the equivalence suite's oracle).  Because rows are partitionable by
-coreset, ``from_graph(construction="partitioned")`` can also fan
-phase 2 out over worker processes (:mod:`repro.core.construction`)
-against the shared vertex->bit table, merging sub-databases into the
-exact serial result.
+(the equivalence suite's oracle).
 
 Invariants maintained by this class (checked by :meth:`validate`):
 
@@ -59,17 +55,13 @@ from typing import (
     Tuple,
 )
 
-from repro.config import CONSTRUCTIONS
+import numpy as np
+
 from repro.core.candidates import LeafsetInterner, leafset_sort_key
 from repro.core.masks import MaskBackend, BigintMaskBackend, bigint_mask_bytes
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import current
-
-try:  # Vectorised construction grouping; the pure path covers absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
 
 Value = Hashable
 Vertex = Hashable
@@ -214,10 +206,6 @@ class InvertedDatabase:
         # finishes: batch-built masks trust the precomputed table, so
         # implicit lazy extension afterwards would desynchronise them.
         self._vertex_order_frozen: bool = False
-        # Failure telemetry of a supervised partitioned build (a
-        # ``repro.runtime.supervisor.SiteReport``); ``None`` for serial
-        # or degenerate single-partition builds.  Parent-side only.
-        self.construction_report = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -229,9 +217,6 @@ class InvertedDatabase:
         graph: AttributedGraph,
         coreset_positions: Optional[Mapping[CoreKey, Iterable[Vertex]]] = None,
         mask_backend: Optional[MaskBackend] = None,
-        construction: str = "serial",
-        construction_workers: Optional[int] = None,
-        runtime_policy=None,
     ) -> "InvertedDatabase":
         """Build the initial inverted database from an attributed graph.
 
@@ -247,31 +232,11 @@ class InvertedDatabase:
         mask_backend:
             The position-mask representation (:mod:`repro.core.masks`);
             defaults to whole-graph bigint masks.
-        construction:
-            ``"serial"`` (default) builds rows in-process with the
-            columnar batch builder; ``"partitioned"`` shards the
-            coreset space over worker processes
-            (:mod:`repro.core.construction`) and merges the
-            sub-databases — the result is identical either way.
-        construction_workers:
-            Worker-process count for ``"partitioned"`` (``None`` =
-            one per CPU, capped by the partition count).
-        runtime_policy:
-            Optional :class:`repro.runtime.supervisor.RuntimePolicy`
-            for the partitioned path's supervised pool (timeouts,
-            retries, degrade-to-serial, fault injection); the site's
-            failure telemetry lands on ``db.construction_report``.
-            Ignored under serial construction.
 
         Every initial row is ``(Sc, {leaf value})`` with positions the
         vertices where ``Sc`` holds and some neighbour carries the leaf
         value.
         """
-        if construction not in CONSTRUCTIONS:
-            raise MiningError(
-                f"construction must be one of {CONSTRUCTIONS}, "
-                f"got {construction!r}"
-            )
         db = cls(mask_backend=mask_backend)
         if coreset_positions is None:
             coreset_positions = {
@@ -279,45 +244,18 @@ class InvertedDatabase:
                 for value, vertices in graph.value_positions().items()
             }
         obs = current()
-        if construction == "partitioned":
-            # Workers need the whole phase-1 product up front: the
-            # frozen vertex->bit table and the neighbour-value map are
-            # shared state every partition builds against.
-            with obs.span("build.plan", construction=construction):
-                plan, neighbor_values = db._plan_construction(
-                    graph, coreset_positions
-                )
-            from repro.core.construction import build_partitioned
-
-            with obs.span(
-                "build.rows",
-                construction=construction,
-                coresets=len(plan),
-            ):
-                db.construction_report = build_partitioned(
-                    db,
-                    plan,
-                    neighbor_values,
-                    workers=construction_workers,
-                    policy=runtime_policy,
-                )
-        else:
-            # Serial construction fuses phase 1's per-vertex work into
-            # the row loop: neighbour values are computed and the bit
-            # assigned on each vertex's first encounter, which happens
-            # in exactly the order the separate planning pass would
-            # have used (plan order, members in order, values-carrying
-            # vertices only).
-            with obs.span("build.plan", construction=construction):
-                plan = db._plan_coresets(coreset_positions)
-            with obs.span(
-                "build.rows",
-                construction=construction,
-                coresets=len(plan),
-            ):
-                db._build_rows(
-                    plan, graph.neighbor_values, graph.attribute_values()
-                )
+        # Construction fuses phase 1's per-vertex work into the row
+        # loop: neighbour values are computed and the bit assigned on
+        # each vertex's first encounter, which happens in exactly the
+        # order the separate planning pass of the reference builder
+        # uses (plan order, members in order, values-carrying vertices
+        # only).
+        with obs.span("build.plan"):
+            plan = db._plan_coresets(coreset_positions)
+        with obs.span("build.rows", coresets=len(plan)):
+            db._build_rows(
+                plan, graph.neighbor_values, graph.attribute_values()
+            )
         db._finalise_construction()
         return db
 
@@ -332,8 +270,8 @@ class InvertedDatabase:
         call per ``(coreset, vertex, leaf-value)`` triple.
 
         Kept verbatim as the oracle the construction-equivalence suite
-        compares the batched and partitioned paths against; production
-        code always goes through :meth:`from_graph`.
+        compares the columnar builder against; production code always
+        goes through :meth:`from_graph`.
         """
         db = cls(mask_backend=mask_backend)
         if coreset_positions is None:
@@ -361,8 +299,8 @@ class InvertedDatabase:
     ) -> Dict[CoreKey, List[Vertex]]:
         """The (coreset, sorted members) iteration plan, keys sorted.
 
-        Pure ordering work — no per-vertex graph access; the serial
-        builder fuses that into the row loop, the partitioned builder
+        Pure ordering work — no per-vertex graph access; the columnar
+        builder fuses that into the row loop, the reference builder
         adds it in :meth:`_plan_construction`.
         """
         plan: Dict[CoreKey, List[Vertex]] = {}
@@ -390,9 +328,8 @@ class InvertedDatabase:
         vertex with k attribute values is visited k times) and
         precomputes the vertex->bit table in the same first-touch order
         the row loop uses — one shared vertex order for every mask the
-        database will ever hold, and the table every construction
-        worker builds against.  The serial builder skips this pass and
-        assigns bits lazily at first encounter, which produces the
+        database will ever hold.  The columnar builder skips this pass
+        and assigns bits lazily at first encounter, which produces the
         identical table because the encounters happen in the same
         order.
         """
@@ -431,16 +368,21 @@ class InvertedDatabase:
         terms over exactly this order.
 
         ``values_of`` maps a vertex to its neighbour-value set (called
-        once per vertex — the serial builder passes the graph method
-        directly, workers pass their precomputed table) and
-        ``universe`` must cover every value ``values_of`` can return (a
-        superset is fine: ordinals are internal, only their relative
-        order matters).
+        once per vertex) and ``universe`` must cover every value
+        ``values_of`` can return (a superset is fine: ordinals are
+        internal, only their relative order matters).
 
-        Grouping itself is vectorised when numpy is available (one
-        lexsort per block of whole coresets) and falls back to a pure
-        dict grouping otherwise; both produce the identical database.
+        Grouping is vectorised: flat (core, leaf, bit) triple columns,
+        one sort per block of whole coresets, rows read off the group
+        boundaries.  The collect loop does three C-level ``extend``
+        calls per (coreset, vertex) pair instead of one dict probe per
+        triple; the sort then delivers every row's bit list already
+        ascending and in global (coreset, leafset) order, so row keys,
+        counts and the construction-order record all fall out of one
+        pass.
         """
+        from itertools import repeat
+
         # Dense leaf ordinals in global ``_key_of`` order (for the
         # singleton leafsets of construction that is repr order of the
         # value): the hot loops then handle small ints instead of
@@ -449,76 +391,6 @@ class InvertedDatabase:
         ordered_values = sorted(universe, key=repr)
         ordinal_of = {value: i for i, value in enumerate(ordered_values)}
         leaf_by_ordinal = [frozenset((value,)) for value in ordered_values]
-        if _np is not None:
-            self._build_rows_sorted(
-                plan, values_of, ordinal_of, leaf_by_ordinal
-            )
-        else:  # pragma: no cover - exercised via the forced-fallback tests
-            self._build_rows_pure(
-                plan, values_of, ordinal_of, leaf_by_ordinal
-            )
-
-    def _vertex_info(
-        self,
-        vertex: Vertex,
-        values_of: Callable[[Vertex], FrozenSet[Value]],
-        ordinal_of: Dict[Value, int],
-    ) -> Tuple:
-        """First-encounter record: ``(bit, ordinals, [bit]*k)`` or ``()``.
-
-        Lazy bit assignment happens here for the serial builder; the
-        encounters run in plan order over per-coreset member order, so
-        the table comes out exactly as ``_plan_construction`` would
-        precompute it (workers arrive with the table prefilled and
-        never take the assignment branch).
-        """
-        values = values_of(vertex)
-        if not values:
-            return ()
-        bit = self._vertex_bit.get(vertex)
-        if bit is None:
-            bit = len(self._vertex_ids)
-            self._vertex_bit[vertex] = bit
-            self._vertex_ids.append(vertex)
-        ordinals = [ordinal_of[value] for value in values]
-        return (bit, ordinals, [bit] * len(ordinals))
-
-    @staticmethod
-    def _dedupe_members(members: List[Vertex]) -> List[Vertex]:
-        """Drop duplicate vertices, preserving order (rare path).
-
-        Two ``coreset_positions`` keys can collapse to one frozenset
-        (and an iterable may repeat a vertex); row bit lists must stay
-        duplicate-free for batch lengths to be frequencies.
-        """
-        if len(members) > 1 and len(members) != len(set(members)):
-            seen: Set[Vertex] = set()
-            return [v for v in members if not (v in seen or seen.add(v))]
-        return members
-
-    #: Triples buffered between vectorised grouping flushes.  Blocks
-    #: end on coreset boundaries, so the cap bounds transient memory
-    #: (three int64 arrays plus the decoded bit list) without ever
-    #: splitting a coreset across flushes.
-    _GROUP_BLOCK_TRIPLES = 2_000_000
-
-    def _build_rows_sorted(
-        self,
-        plan: Mapping[CoreKey, List[Vertex]],
-        values_of: Callable[[Vertex], FrozenSet[Value]],
-        ordinal_of: Dict[Value, int],
-        leaf_by_ordinal: List[LeafKey],
-    ) -> None:
-        """Vectorised grouping: flat (core, leaf, bit) triple columns,
-        one lexsort per block, rows read off the group boundaries.
-
-        The collect loop does three C-level ``extend`` calls per
-        (coreset, vertex) pair instead of one dict probe per triple;
-        the sort then delivers every row's bit list already ascending
-        and in global (coreset, leafset) order, so row keys, counts and
-        the construction-order record all fall out of one pass.
-        """
-        from itertools import repeat
 
         masks = self._masks
         rows = self._rows
@@ -545,9 +417,9 @@ class InvertedDatabase:
             count = len(cores_flat)
             if not count:
                 return
-            cores_a = _np.array(cores_flat, dtype=_np.int64)
-            ords_a = _np.array(ords_flat, dtype=_np.int64)
-            bits_a = _np.array(bits_flat, dtype=_np.int64)
+            cores_a = np.array(cores_flat, dtype=np.int64)
+            ords_a = np.array(ords_flat, dtype=np.int64)
+            bits_a = np.array(bits_flat, dtype=np.int64)
             del cores_flat[:], ords_flat[:], bits_flat[:]
             # One radix sort on a packed (core, leaf, bit) key beats
             # three lexsort passes when the key fits a machine word;
@@ -561,18 +433,18 @@ class InvertedDatabase:
                     | (ords_a << bit_width)
                     | bits_a
                 )
-                order = _np.argsort(packed, kind="stable")
+                order = np.argsort(packed, kind="stable")
             else:  # pragma: no cover - >2^62 key space
-                order = _np.lexsort((bits_a, ords_a, cores_a))
+                order = np.lexsort((bits_a, ords_a, cores_a))
             cores_a = cores_a[order]
             ords_a = ords_a[order]
             bits_a = bits_a[order]
-            row_change = _np.empty(count, dtype=bool)
+            row_change = np.empty(count, dtype=bool)
             row_change[0] = True
-            _np.not_equal(ords_a[1:], ords_a[:-1], out=row_change[1:])
+            np.not_equal(ords_a[1:], ords_a[:-1], out=row_change[1:])
             row_change[1:] |= cores_a[1:] != cores_a[:-1]
-            starts = _np.flatnonzero(row_change)
-            counts_a = _np.diff(_np.append(starts, count))
+            starts = np.flatnonzero(row_change)
+            counts_a = np.diff(np.append(starts, count))
             bits_list = bits_a.tolist()
             bounds = starts.tolist()
             bounds.append(count)
@@ -596,13 +468,13 @@ class InvertedDatabase:
             row_order_extend(keys)
             # Per-coreset totals and leaf sets: a coreset's rows are
             # consecutive after the sort, so one reduceat per block.
-            core_row_change = _np.empty(num_rows, dtype=bool)
+            core_row_change = np.empty(num_rows, dtype=bool)
             core_row_change[0] = True
-            _np.not_equal(
+            np.not_equal(
                 row_cores_a[1:], row_cores_a[:-1], out=core_row_change[1:]
             )
-            core_row_starts = _np.flatnonzero(core_row_change)
-            core_sums = _np.add.reduceat(counts_a, core_row_starts)
+            core_row_starts = np.flatnonzero(core_row_change)
+            core_sums = np.add.reduceat(counts_a, core_row_starts)
             core_bounds = core_row_starts.tolist()
             core_bounds.append(num_rows)
             for index, total in enumerate(core_sums.tolist()):
@@ -619,12 +491,12 @@ class InvertedDatabase:
             # Per-leafset coreset sets and row-mask lists (for the
             # batched unions): group rows by ordinal with one stable
             # argsort per block.
-            leaf_order = _np.argsort(row_ords_a, kind="stable")
+            leaf_order = np.argsort(row_ords_a, kind="stable")
             sorted_ords = row_ords_a[leaf_order]
-            leaf_change = _np.empty(num_rows, dtype=bool)
+            leaf_change = np.empty(num_rows, dtype=bool)
             leaf_change[0] = True
-            _np.not_equal(sorted_ords[1:], sorted_ords[:-1], out=leaf_change[1:])
-            leaf_bounds = _np.flatnonzero(leaf_change).tolist()
+            np.not_equal(sorted_ords[1:], sorted_ords[:-1], out=leaf_change[1:])
+            leaf_bounds = np.flatnonzero(leaf_change).tolist()
             leaf_bounds.append(num_rows)
             leaf_order_list = leaf_order.tolist()
             sorted_ords_list = sorted_ords.tolist()
@@ -669,87 +541,47 @@ class InvertedDatabase:
         self._materialise_unions(leaf_masks, leaf_by_ordinal)
         self._initial_row_order = row_order
 
-    def _build_rows_pure(
+    def _vertex_info(
         self,
-        plan: Mapping[CoreKey, List[Vertex]],
+        vertex: Vertex,
         values_of: Callable[[Vertex], FrozenSet[Value]],
         ordinal_of: Dict[Value, int],
-        leaf_by_ordinal: List[LeafKey],
-    ) -> None:
-        """Dict-grouping fallback (no numpy): per-coreset bit-list
-        dicts keyed by leaf ordinal, bulk-materialised per coreset.
+    ) -> Tuple:
+        """First-encounter record: ``(bit, ordinals, [bit]*k)`` or ``()``.
 
-        Produces the identical database to the vectorised path — the
-        construction-equivalence tests force this branch to prove it.
+        Lazy bit assignment happens here; the encounters run in plan
+        order over per-coreset member order, so the table comes out
+        exactly as ``_plan_construction`` would precompute it.
         """
-        masks = self._masks
-        rows = self._rows
-        row_freq = self._row_freq
-        leaf_to_cores = self._leaf_to_cores
-        core_to_leaves = self._core_to_leaves
-        core_freq = self._core_freq
-        make_batch = masks.make_batch
-        rows_update = rows.update
-        row_freq_update = row_freq.update
-        vertex_rowinfo: Dict[Vertex, Tuple] = {}
-        leaf_masks: Dict[int, List[Mask]] = {}
-        row_order: List[RowKey] = []
-        row_order_extend = row_order.extend
-        for core_key, members in plan.items():
-            members = self._dedupe_members(members)
-            row_bits: Dict[int, List[int]] = {}
-            get_row = row_bits.get
-            for vertex in members:
-                info = vertex_rowinfo.get(vertex)
-                if info is None:
-                    info = vertex_rowinfo[vertex] = self._vertex_info(
-                        vertex, values_of, ordinal_of
-                    )
-                if not info:
-                    continue
-                bit = info[0]
-                for ordinal in info[1]:
-                    bits = get_row(ordinal)
-                    if bits is None:
-                        row_bits[ordinal] = [bit]
-                    else:
-                        bits.append(bit)
-            if not row_bits:
-                continue
-            ordered = sorted(row_bits)
-            bit_lists = [row_bits[ordinal] for ordinal in ordered]
-            for bits in bit_lists:
-                # Bits are first-touch ordered globally but members are
-                # iterated per coreset, so lists are only mostly sorted.
-                bits.sort()
-            built = make_batch(bit_lists)
-            # Materialisation runs in sorted-ordinal order, so the keys
-            # list doubles as the construction-order row record; the
-            # per-row stores collapse into C-level bulk updates.
-            keys = [
-                (core_key, leaf_by_ordinal[ordinal]) for ordinal in ordered
-            ]
-            counts = list(map(len, bit_lists))
-            rows_update(zip(keys, built))
-            row_freq_update(zip(keys, counts))
-            core_freq[core_key] = sum(counts)
-            row_order_extend(keys)
-            leaves = [key[1] for key in keys]
-            have = core_to_leaves.get(core_key)
-            if have is None:
-                core_to_leaves[core_key] = set(leaves)
-            else:
-                have.update(leaves)
-            for ordinal, leaf, mask in zip(ordered, leaves, built):
-                cores = leaf_to_cores.get(leaf)
-                if cores is None:
-                    leaf_to_cores[leaf] = {core_key: None}
-                    leaf_masks[ordinal] = [mask]
-                else:
-                    cores[core_key] = None
-                    leaf_masks[ordinal].append(mask)
-        self._materialise_unions(leaf_masks, leaf_by_ordinal)
-        self._initial_row_order = row_order
+        values = values_of(vertex)
+        if not values:
+            return ()
+        bit = self._vertex_bit.get(vertex)
+        if bit is None:
+            bit = len(self._vertex_ids)
+            self._vertex_bit[vertex] = bit
+            self._vertex_ids.append(vertex)
+        ordinals = [ordinal_of[value] for value in values]
+        return (bit, ordinals, [bit] * len(ordinals))
+
+    @staticmethod
+    def _dedupe_members(members: List[Vertex]) -> List[Vertex]:
+        """Drop duplicate vertices, preserving order (rare path).
+
+        Two ``coreset_positions`` keys can collapse to one frozenset
+        (and an iterable may repeat a vertex); row bit lists must stay
+        duplicate-free for batch lengths to be frequencies.
+        """
+        if len(members) > 1 and len(members) != len(set(members)):
+            seen: Set[Vertex] = set()
+            return [v for v in members if not (v in seen or seen.add(v))]
+        return members
+
+    #: Triples buffered between vectorised grouping flushes.  Blocks
+    #: end on coreset boundaries, so the cap bounds transient memory
+    #: (three int64 arrays plus the decoded bit list) without ever
+    #: splitting a coreset across flushes.
+    _GROUP_BLOCK_TRIPLES = 2_000_000
 
     def _materialise_unions(
         self,

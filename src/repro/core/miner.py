@@ -49,7 +49,7 @@ class CSPM:
         override the corresponding config fields.
     method, coreset_encoder, include_model_cost, max_iterations, \
     partial_update_scope, top_k, min_leafset, mask_backend, \
-    construction, construction_workers, search, search_workers, \
+    construction, search, search_workers, \
     worker_timeout, max_task_retries, on_worker_failure, fault_plan, \
     trace, metrics, progress:
         Legacy/convenience knobs; see :class:`~repro.config.CSPMConfig`
@@ -67,7 +67,6 @@ class CSPM:
         min_leafset: int = _UNSET,
         mask_backend: str = _UNSET,
         construction: str = _UNSET,
-        construction_workers: Optional[int] = _UNSET,
         search: str = _UNSET,
         search_workers: Optional[int] = _UNSET,
         worker_timeout: Optional[float] = _UNSET,
@@ -91,7 +90,6 @@ class CSPM:
                 ("min_leafset", min_leafset),
                 ("mask_backend", mask_backend),
                 ("construction", construction),
-                ("construction_workers", construction_workers),
                 ("search", search),
                 ("search_workers", search_workers),
                 ("worker_timeout", worker_timeout),
@@ -145,10 +143,6 @@ class CSPM:
     @property
     def construction(self) -> str:
         return self.config.construction
-
-    @property
-    def construction_workers(self) -> Optional[int]:
-        return self.config.construction_workers
 
     @property
     def search(self) -> str:

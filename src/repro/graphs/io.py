@@ -40,6 +40,12 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
 
     JSON object keys are strings; when ``int_vertices`` is true, keys of
     the ``attributes`` mapping are parsed back to ints when possible.
+
+    Malformed input raises :class:`GraphError` naming the JSON path of
+    the first offending entry (``vertices[0]``, ``edges[3]``,
+    ``attributes["7"]``) instead of a raw ``TypeError``/``ValueError``
+    or a silent reinterpretation (a string of values is not a list of
+    one-character values).
     """
 
     def parse(key: str):
@@ -50,17 +56,77 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
                 return key
         return key
 
+    if not isinstance(document, dict):
+        raise GraphError(
+            f"graph JSON must be an object, got {type(document).__name__}"
+        )
+    vertices = _member(document, "vertices", list, [])
+    edges = _member(document, "edges", list, [])
+    attributes = _member(document, "attributes", dict, {})
     graph = AttributedGraph()
-    for vertex in document.get("vertices", []):
-        graph.add_vertex(vertex)
-    for u, v in document.get("edges", []):
-        graph.add_edge(u, v)
-    for key, values in document.get("attributes", {}).items():
+    for index, vertex in enumerate(vertices):
+        try:
+            graph.add_vertex(vertex)
+        except TypeError:
+            raise GraphError(
+                f"vertices[{index}]: a vertex id must be a string or a "
+                f"number, got {vertex!r}"
+            ) from None
+    # The edge list is the bulk of a large document, so the loop keeps
+    # no index: the first failing entry is located only on failure.
+    add_edge = graph.add_edge
+    try:
+        for edge in edges:
+            if type(edge) is not list:
+                raise TypeError
+            u, v = edge
+            add_edge(u, v)
+    except (TypeError, ValueError, GraphError):
+        raise _edge_error(edges) from None
+    for key, values in attributes.items():
+        if type(values) is not list:
+            raise GraphError(
+                f"attributes[{json.dumps(key)}]: values must be a list, "
+                f"got {values!r}"
+            )
         vertex = parse(key)
         if vertex not in graph:
             graph.add_vertex(vertex)
-        graph.set_attributes(vertex, values)
+        try:
+            graph.set_attributes(vertex, values)
+        except TypeError:
+            raise GraphError(
+                f"attributes[{json.dumps(key)}]: values must be strings "
+                f"or numbers, got {values!r}"
+            ) from None
     return graph
+
+
+def _edge_error(edges: list) -> GraphError:
+    """The error for the first entry of ``edges`` that is not a pair of
+    distinct, hashable vertex ids (the entry ``from_json_dict`` failed on)."""
+    for index, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 2:
+            problem = "an edge must be a [u, v] pair"
+        elif any(isinstance(vertex, (list, dict)) for vertex in edge):
+            problem = "vertex ids must be strings or numbers"
+        elif edge[0] == edge[1]:
+            problem = "self-loops are not allowed"
+        else:
+            continue
+        return GraphError(f"edges[{index}]: {problem}, got {edge!r}")
+    return GraphError("edges: malformed edge list")
+
+
+def _member(document: dict, key: str, kind: type, default):
+    """``document[key]`` (or ``default``), required to be a ``kind``."""
+    value = document.get(key, default)
+    if not isinstance(value, kind):
+        raise GraphError(
+            f"{key}: must be a JSON {'array' if kind is list else 'object'}, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 def save_json(graph: AttributedGraph, path: PathLike) -> None:

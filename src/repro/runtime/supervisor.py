@@ -1,9 +1,8 @@
 """Supervised execution of the repo's multiprocess pools.
 
 :func:`run_supervised` wraps the fork/spawn ``ProcessPoolExecutor``
-usage in ``core/construction.py``, ``core/search_shard.py`` and
-``batch.py`` with the failure handling a long-lived mining service
-needs:
+usage in ``core/search_shard.py`` and ``batch.py`` with the failure
+handling a long-lived mining service needs:
 
 * **per-task timeouts** — every ``Future.result`` call carries a
   deadline (RES001), so a hung worker becomes a retryable event
@@ -50,7 +49,7 @@ from repro.runtime.faults import (
 )
 
 #: Timeout applied when the policy leaves ``worker_timeout`` unset.
-#: Generous — real partitions/components finish in seconds — but finite,
+#: Generous — real tasks finish in seconds — but finite,
 #: so no future wait is unbounded (RES001).
 DEFAULT_WORKER_TIMEOUT = 300.0
 

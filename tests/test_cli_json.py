@@ -36,6 +36,51 @@ class TestMineJson:
         golden = (DATA_DIR / "mine_paper_golden.json").read_text()
         assert out == golden
 
+    def test_golden_lazy_default_mines_the_exhaustive_model(
+        self, paper_graph_file, capsys
+    ):
+        # The lazy default scope pins the same merges and DL floats as
+        # the eager exhaustive refresh; only the gain counts differ.
+        main(["mine", paper_graph_file, "--json", "--scope", "exhaustive"])
+        exhaustive = json.loads(capsys.readouterr().out)["trace"]
+        golden = json.loads(
+            (DATA_DIR / "mine_paper_golden.json").read_text()
+        )["trace"]
+        assert [step["merged_pair"] for step in golden["iterations"]] == [
+            step["merged_pair"] for step in exhaustive["iterations"]
+        ]
+        assert golden["final_dl_bits"] == exhaustive["final_dl_bits"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "name, scale",
+        [
+            ("usflight", 0.5),
+            ("dblp", 0.02),
+            ("dblp-trend", 0.02),
+            ("cora", 0.01),
+            ("citeseer", 0.01),
+            ("pokec", 0.0005),
+        ],
+    )
+    def test_default_scope_mines_the_exhaustive_model_on_analogues(
+        self, tmp_path, capsys, name, scale, seed
+    ):
+        graph_file = str(tmp_path / f"{name}.json")
+        main(["generate", name, graph_file, "--scale", str(scale),
+              "--seed", str(seed)])
+        capsys.readouterr()
+        traces = []
+        for extra in ([], ["--scope", "exhaustive"]):
+            assert main(["mine", graph_file, "--json"] + extra) == 0
+            traces.append(json.loads(capsys.readouterr().out)["trace"])
+        default, exhaustive = traces
+        assert default["iterations"]
+        assert [step["merged_pair"] for step in default["iterations"]] == [
+            step["merged_pair"] for step in exhaustive["iterations"]
+        ]
+        assert default["final_dl_bits"] == exhaustive["final_dl_bits"]
+
     def test_output_is_valid_json_with_config(self, paper_graph_file, capsys):
         main(["mine", paper_graph_file, "--json", "--top", "3"])
         document = json.loads(capsys.readouterr().out)
@@ -93,3 +138,28 @@ class TestMineText:
         for line in star_lines:
             leaf = line.split("-> {", 1)[1].split("}", 1)[0]
             assert len(leaf.split(",")) >= 2
+
+
+class TestMalformedGraphJson:
+    """Malformed graph documents stop ``mine`` at the input boundary."""
+
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            ({"vertices": [[1]]}, "vertices[0]"),
+            ({"edges": [[1, 2], [1, 2, 3]]}, "edges[1]"),
+            ({"attributes": {"1": "abc"}}, 'attributes["1"]'),
+            ({"vertices": [1, {"id": 2}]}, "vertices[1]"),
+            ({"edges": [[1, 2], [3, 3]]}, "edges[1]"),
+            ({"attributes": {"1": ["a"], "2": 7}}, 'attributes["2"]'),
+        ],
+    )
+    def test_rejected_with_json_path(self, tmp_path, capsys, document, path):
+        graph_file = tmp_path / "bad.json"
+        graph_file.write_text(json.dumps(document))
+        assert main(["mine", str(graph_file), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: ")

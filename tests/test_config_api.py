@@ -33,11 +33,25 @@ class TestValidation:
             {"top_k": True},
             {"min_leafset": 0},
             {"min_leafset": None},
+            {"mask_backend": "numpy"},
+            {"construction": "partitioned"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CSPMConfig(**kwargs)
+
+    def test_construction_names_the_allowed_value(self):
+        with pytest.raises(ConfigError, match=r"\('serial',\)"):
+            CSPMConfig(construction="partitioned")
+        with pytest.raises(ConfigError, match="construction_workers"):
+            CSPMConfig.from_dict({"construction_workers": 2})
+
+    def test_construction_fault_site_rejected(self):
+        from repro.runtime.faults import FaultEvent
+
+        with pytest.raises(ConfigError, match=r"\('search', 'batch'\)"):
+            FaultEvent(site="construction", index=0, kind="crash")
 
     def test_config_error_is_a_mining_error(self):
         with pytest.raises(MiningError):

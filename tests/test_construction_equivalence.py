@@ -1,14 +1,14 @@
-"""Construction-equivalence suite: batched == triples == partitioned.
+"""Construction-equivalence suite: batched == triples.
 
-The columnar batch builder (``InvertedDatabase.from_graph``) and the
-coreset-partitioned worker-process path must reproduce the pre-columnar
-reference builder (``_from_graph_triples`` — one ``_add_position`` per
-(coreset, vertex, leaf-value) triple) *exactly*: identical row masks,
-row frequencies, interner ids, ``_initial_row_order``, snapshots, leaf
-unions and initial ``description_length`` floats, on every mask backend
-including the 64-bit-chunk stress variants.  The vectorised grouping
-and its pure-Python fallback are both pinned, as is the frozen
-vertex-order contract the batch path relies on.
+The columnar batch builder (``InvertedDatabase.from_graph``) must
+reproduce the pre-columnar reference builder (``_from_graph_triples`` —
+one ``_add_position`` per (coreset, vertex, leaf-value) triple)
+*exactly*: identical row masks, row frequencies, interner ids,
+``_initial_row_order``, snapshots, leaf unions and initial
+``description_length`` floats, on every mask backend including the
+64-bit-chunk stress variant.  The vectorised grouping's block
+boundaries are pinned, as is the frozen vertex-order contract the
+batch path relies on.
 """
 
 import pytest
@@ -16,18 +16,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CSPMConfig
-from repro.core import inverted_db as inverted_db_module
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.construction import partition_plan
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend, get_backend
-from repro.core.masks.numpy_chunked import NumpyChunkedMaskBackend
 from repro.core.mdl import description_length, initial_description_length
 from repro.errors import ConfigError, MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
+from repro.graphs.io import save_json
 
 # Production defaults plus the chunk-boundary stress variants from
 # tests/test_mask_backends.py.
@@ -35,8 +33,6 @@ ALL_BACKENDS = [
     BigintMaskBackend(),
     ChunkedMaskBackend(),
     ChunkedMaskBackend(chunk_bits=64),
-    NumpyChunkedMaskBackend(),
-    NumpyChunkedMaskBackend(chunk_bits=64),
 ]
 
 
@@ -75,16 +71,10 @@ def fingerprint(db):
     )
 
 
-def builders(graph, backend, workers=3):
+def builders(graph, backend):
     triple = InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
     columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
-    partitioned = InvertedDatabase.from_graph(
-        graph,
-        mask_backend=backend,
-        construction="partitioned",
-        construction_workers=workers,
-    )
-    return triple, columnar, partitioned
+    return triple, columnar
 
 
 @pytest.fixture(params=ALL_BACKENDS, ids=lambda b: repr(b))
@@ -97,32 +87,26 @@ class TestColumnarEquivalence:
 
     def test_paper_graph_identical(self, backend):
         graph = paper_running_example()
-        triple, columnar, partitioned = builders(graph, backend)
-        reference = fingerprint(triple)
-        assert fingerprint(columnar) == reference
-        assert fingerprint(partitioned) == reference
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
         columnar.validate(graph)
-        partitioned.validate(graph)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_identical(self, backend, seed):
         graph = random_graph(seed)
-        triple, columnar, partitioned = builders(graph, backend)
-        reference = fingerprint(triple)
-        assert fingerprint(columnar) == reference
-        assert fingerprint(partitioned) == reference
+        triple, columnar = builders(graph, backend)
+        assert fingerprint(columnar) == fingerprint(triple)
 
     def test_initial_description_length_byte_identical(self, backend):
         graph = random_graph(7)
         standard = StandardCodeTable.from_graph(graph)
         core = CoreCodeTable.singletons_from_graph(graph)
-        triple, columnar, partitioned = builders(graph, backend)
+        triple, columnar = builders(graph, backend)
         reference = initial_description_length(triple, standard, core)
-        for db in (columnar, partitioned):
-            folded = initial_description_length(db, standard, core)
-            assert folded == reference
-            # And both agree with the from-scratch recompute.
-            assert folded == description_length(db, standard, core)
+        folded = initial_description_length(columnar, standard, core)
+        assert folded == reference
+        # And both agree with the from-scratch recompute.
+        assert folded == description_length(columnar, standard, core)
 
     def test_mining_identical_on_all_paths(self):
         graph = random_graph(11)
@@ -139,16 +123,7 @@ class TestColumnarEquivalence:
                     db.snapshot(),
                 )
             )
-        assert results[0] == results[1] == results[2]
-
-    def test_pure_fallback_identical(self, backend, monkeypatch):
-        graph = random_graph(3)
-        reference = fingerprint(
-            InvertedDatabase._from_graph_triples(graph, mask_backend=backend)
-        )
-        monkeypatch.setattr(inverted_db_module, "_np", None)
-        pure = InvertedDatabase.from_graph(graph, mask_backend=backend)
-        assert fingerprint(pure) == reference
+        assert results[0] == results[1]
 
     def test_tiny_group_blocks_identical(self, monkeypatch):
         # Force many flushes so block boundaries are exercised.
@@ -194,78 +169,12 @@ def test_property_columnar_matches_triples(graph):
     for backend in (
         BigintMaskBackend(),
         ChunkedMaskBackend(chunk_bits=64),
-        NumpyChunkedMaskBackend(chunk_bits=64),
     ):
         triple = InvertedDatabase._from_graph_triples(
             graph, mask_backend=backend
         )
         columnar = InvertedDatabase.from_graph(graph, mask_backend=backend)
         assert fingerprint(columnar) == fingerprint(triple)
-
-
-@given(graph=attributed_graphs(), data=st.data())
-@settings(
-    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-def test_property_pure_fallback_matches(graph, data):
-    saved = inverted_db_module._np
-    inverted_db_module._np = None
-    try:
-        pure = InvertedDatabase.from_graph(graph)
-    finally:
-        inverted_db_module._np = saved
-    assert fingerprint(pure) == fingerprint(InvertedDatabase.from_graph(graph))
-
-
-class TestPartitionPlan:
-    """The contiguous, balanced coreset-space slicer."""
-
-    def plan(self, weights):
-        return {
-            frozenset((f"c{i}",)): [f"v{i}_{j}" for j in range(w)]
-            for i, w in enumerate(weights)
-        }
-
-    def test_contiguity_and_coverage(self):
-        plan = self.plan([5, 1, 1, 5, 2, 2])
-        partitions = partition_plan(plan, 3)
-        flattened = [item for part in partitions for item in part]
-        assert flattened == list(plan.items())
-        assert 1 < len(partitions) <= 3
-
-    def test_single_partition_cases(self):
-        plan = self.plan([3, 3])
-        assert partition_plan(plan, 1) == [list(plan.items())]
-        assert len(partition_plan(plan, 5)) <= 2  # capped by item count
-
-    def test_rough_balance(self):
-        plan = self.plan([1] * 100)
-        partitions = partition_plan(plan, 4)
-        sizes = [sum(len(m) for _c, m in part) for part in partitions]
-        assert len(partitions) == 4
-        assert max(sizes) <= 2 * min(sizes)
-
-    def test_workers_validated(self):
-        graph = paper_running_example()
-        with pytest.raises(MiningError, match="construction_workers"):
-            InvertedDatabase.from_graph(
-                graph, construction="partitioned", construction_workers=0
-            )
-
-    def test_unknown_construction_rejected(self):
-        with pytest.raises(MiningError, match="construction"):
-            InvertedDatabase.from_graph(
-                paper_running_example(), construction="sharded"
-            )
-
-    def test_one_worker_runs_serial_in_process(self):
-        graph = paper_running_example()
-        db = InvertedDatabase.from_graph(
-            graph, construction="partitioned", construction_workers=1
-        )
-        assert fingerprint(db) == fingerprint(
-            InvertedDatabase.from_graph(graph)
-        )
 
 
 class TestFrozenVertexOrder:
@@ -299,73 +208,48 @@ class TestFrozenVertexOrder:
 
 
 class TestConfigAndFacade:
-    """The construction knobs across config, facade and CLI."""
+    """The construction knob across config and pipeline."""
 
     def test_config_validates_construction(self):
         assert CSPMConfig().construction == "serial"
-        assert CSPMConfig(construction="partitioned").construction == (
-            "partitioned"
-        )
-        with pytest.raises(ConfigError, match="construction"):
-            CSPMConfig(construction="sharded")
+        for other in ("partitioned", "sharded"):
+            with pytest.raises(ConfigError, match="'serial'"):
+                CSPMConfig(construction=other)
         with pytest.raises(ConfigError, match="construction_workers"):
-            CSPMConfig(construction_workers=0)
-        with pytest.raises(ConfigError, match="construction_workers"):
-            CSPMConfig(construction_workers=True)
+            CSPMConfig().replace(construction_workers=2)
 
     def test_defaults_not_serialised(self):
         # Schema-v1 result documents (and the CLI golden file) must not
         # grow fields for execution-engine defaults.
         document = CSPMConfig().to_dict()
         assert "construction" not in document
-        assert "construction_workers" not in document
         assert CSPMConfig.from_dict(document) == CSPMConfig()
-
-    def test_non_defaults_round_trip(self):
-        config = CSPMConfig(construction="partitioned", construction_workers=2)
-        document = config.to_dict()
-        assert document["construction"] == "partitioned"
-        assert document["construction_workers"] == 2
-        assert CSPMConfig.from_dict(document) == config
-
-    def test_facade_partitioned_mines_identically(self, paper_graph):
-        from repro import CSPM
-
-        reference = CSPM().fit(paper_graph)
-        mined = CSPM(construction="partitioned", construction_workers=2).fit(
-            paper_graph
+        assert CSPMConfig.from_dict({"construction": "serial"}) == (
+            CSPMConfig()
         )
-        assert mined.inverted_db.snapshot() == reference.inverted_db.snapshot()
-        assert [star.to_dict() for star in mined.astars] == [
-            star.to_dict() for star in reference.astars
-        ]
-        assert mined.trace.final_dl_bits == reference.trace.final_dl_bits
 
-    def test_cli_exposes_construction_flags(self, tmp_path, capsys):
-        import json
-
+    @pytest.mark.parametrize("command", ["mine", "bench"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--construction", "partitioned"],
+            ["--construction-workers", "2"],
+            ["--mask-backend", "numpy"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_cli_rejects_removed_engine_flags(
+        self, tmp_path, capsys, command, flags
+    ):
         from repro.cli import main
-        from repro.graphs.io import save_json
 
-        path = tmp_path / "graph.json"
-        save_json(paper_running_example(), str(path))
-        assert (
-            main(
-                [
-                    "mine",
-                    str(path),
-                    "--construction",
-                    "partitioned",
-                    "--construction-workers",
-                    "2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["config"]["construction"] == "partitioned"
-        assert document["config"]["construction_workers"] == 2
+        graph_file = tmp_path / "paper.json"
+        save_json(paper_running_example(), graph_file)
+        argv = [command, str(graph_file)] if command == "mine" else [command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + flags)
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_pipeline_records_construction_seconds(self, paper_graph):
         from repro.pipeline import MiningPipeline

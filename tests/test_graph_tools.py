@@ -121,6 +121,80 @@ class TestIO:
         assert "a,c" in text  # v2's values
 
 
+class TestJsonBoundary:
+    """``from_json_dict`` rejects malformed documents with the JSON path
+    of the first offending entry and still loads every valid shape."""
+
+    @pytest.mark.parametrize(
+        "document, path",
+        [
+            ({"vertices": [[1]]}, "vertices[0]"),
+            ({"vertices": [1, {"id": 2}]}, "vertices[1]"),
+            ({"edges": [[1]]}, "edges[0]"),
+            ({"edges": [[1, 2], [1, 2, 3]]}, "edges[1]"),
+            ({"edges": [5]}, "edges[0]"),
+            ({"edges": [[1, 2], "12"]}, "edges[1]"),
+            ({"edges": [[1, 2], {"u": 1, "v": 2}]}, "edges[1]"),
+            ({"edges": [[[1], 2]]}, "edges[0]"),
+            ({"edges": [[1, {}]]}, "edges[0]"),
+            ({"edges": [[1, 2], [3, 4], [5, 5]]}, "edges[2]"),
+            ({"attributes": {"1": "abc"}}, 'attributes["1"]'),
+            ({"attributes": {"1": 5}}, 'attributes["1"]'),
+            ({"attributes": {"1": None}}, 'attributes["1"]'),
+            ({"attributes": {"x": {"a": 1}}}, 'attributes["x"]'),
+            ({"attributes": {"1": ["a"], "2": ["b", ["c"]]}}, 'attributes["2"]'),
+            ({"vertices": {}}, "vertices"),
+            ({"edges": "ab"}, "edges"),
+            ({"attributes": []}, "attributes"),
+        ],
+    )
+    def test_malformed_entry_named_by_path(self, document, path):
+        with pytest.raises(GraphError) as excinfo:
+            from_json_dict(document)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("document", [[], "graph", 5, None])
+    def test_non_object_document_rejected(self, document):
+        with pytest.raises(GraphError, match="must be an object"):
+            from_json_dict(document)
+
+    def test_empty_document_is_the_empty_graph(self):
+        graph = from_json_dict({})
+        assert graph.num_vertices == 0
+        assert graph.num_edges == 0
+
+    def test_edge_endpoints_need_not_be_listed_as_vertices(self):
+        graph = from_json_dict({"edges": [[1, 2], [2, 3]]})
+        assert sorted(graph.vertices()) == [1, 2, 3]
+        assert graph.num_edges == 2
+
+    def test_attributes_may_introduce_isolated_vertices(self):
+        graph = from_json_dict({"attributes": {"7": ["a", "b"]}})
+        assert graph.attributes_of(7) == frozenset({"a", "b"})
+        assert graph.degree(7) == 0
+
+    def test_numeric_values_are_kept(self):
+        graph = from_json_dict({"attributes": {"1": [3, "x", 2.5]}})
+        assert graph.attributes_of(1) == frozenset({3, "x", 2.5})
+
+    def test_string_keys_kept_without_int_vertices(self):
+        document = {"edges": [["1", "2"]], "attributes": {"1": ["a"]}}
+        graph = from_json_dict(document, int_vertices=False)
+        assert graph.attributes_of("1") == frozenset({"a"})
+        assert sorted(graph.vertices()) == ["1", "2"]
+
+    @pytest.mark.parametrize(
+        "name", ["usflight", "dblp", "dblp-trend", "cora", "citeseer", "pokec"]
+    )
+    def test_dataset_analogues_round_trip(self, tmp_path, name):
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset(name, scale=0.001 if name == "pokec" else 0.05)
+        path = tmp_path / f"{name}.json"
+        save_json(graph, path)
+        assert load_json(path) == graph
+
+
 class TestStats:
     def test_paper_graph_stats(self, paper_graph):
         stats = graph_stats(paper_graph)

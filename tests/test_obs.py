@@ -429,20 +429,17 @@ class TestPipelineSpans:
         ] > 0
 
     def test_supervised_run_adopts_worker_lanes_and_retry_instants(self):
-        config = CSPMConfig(
-            trace=True,
-            construction="partitioned",
-            construction_workers=2,
-            fault_plan=crash_plan("construction"),
+        batch = fit_many(
+            [paper_running_example(), planted()],
+            CSPMConfig(trace=True, fault_plan=crash_plan("batch")),
+            n_jobs=2,
+            executor="process",
         )
-        context = MiningPipeline.default(config).run_context(planted())
-        tracer = context.obs.tracer
+        tracer = batch.obs.tracer
         lanes = [lane for _pid, lane, _spans in tracer.adopted]
-        assert any(lane.startswith("construction[") for lane in lanes)
+        assert lanes and all(lane.startswith("batch[") for lane in lanes)
         for _pid, _lane, spans in tracer.adopted:
-            assert all(
-                record[0] == "build.partition" for record in spans
-            )
+            assert "mine.build" in [record[0] for record in spans]
         assert "supervisor.retry" in [
             record[0] for record in tracer.events
         ]
@@ -464,20 +461,6 @@ class TestTracedBitExactness:
             config=CSPMConfig(trace=True, metrics=True, progress=True)
         ).fit(graph)
         # progress writes to stderr; the signature must still match.
-        assert run_signature(traced) == run_signature(reference)
-
-    def test_partitioned_construction_traced_under_crash(self):
-        graph = planted(seed=11)
-        reference = CSPM().fit(graph)
-        traced = CSPM(
-            config=CSPMConfig(
-                trace=True,
-                metrics=True,
-                construction="partitioned",
-                construction_workers=2,
-                fault_plan=crash_plan("construction"),
-            )
-        ).fit(graph)
         assert run_signature(traced) == run_signature(reference)
 
     def test_sharded_search_traced_under_crash(self):

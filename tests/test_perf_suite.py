@@ -12,9 +12,8 @@ import pytest
 from repro.perf.suite import (
     SCHEMA_VERSION,
     _measure_size,
-    _pokec_backend,
     check_bounds,
-    construction_report,
+    construction_time_report,
     merge_into,
     pokec_sparse_graph,
     run_suite,
@@ -154,7 +153,7 @@ class TestMeasureSize:
             backend: _measure_size(
                 graph, "communities=3", run_basic_too=False, mask_backend=backend
             )
-            for backend in ("bigint", "chunked", "numpy")
+            for backend in ("bigint", "chunked")
         }
         reference = entries["bigint"]["runs"]["partial/overlap"]
         for backend, entry in entries.items():
@@ -298,12 +297,6 @@ class TestPokecSparse:
             mask_backend="chunked",
             pair_sources=("overlap",),
         )
-
-    def test_backend_upgrade_rule(self):
-        assert _pokec_backend("auto") == "chunked"
-        assert _pokec_backend("bigint") == "chunked"
-        assert _pokec_backend("chunked") == "chunked"
-        assert _pokec_backend("numpy") == "numpy"
 
     def test_overlap_only_runs(self, pokec_entry):
         assert set(pokec_entry["runs"]) == {"partial/overlap"}
@@ -463,7 +456,7 @@ class TestCheckBounds:
         assert check_bounds(self.document(), bounds) == []
         bounds["sparse-scaling"]["communities=48"][
             "require_mask_backend"
-        ] = "numpy"
+        ] = "bigint"
         failures = check_bounds(self.document(), bounds)
         assert len(failures) == 1 and "mask_backend" in failures[0]
 
@@ -593,7 +586,7 @@ class TestConstructionReporting:
 
     def test_within_reference_reports_and_never_fails(self):
         document = self.entry(0.5, baseline=1.5)
-        lines = construction_report(document, self.BOUNDS)
+        lines = construction_time_report(document, self.BOUNDS)
         assert len(lines) == 1
         assert "within" in lines[0]
         assert "3.00x" in lines[0]  # baseline ratio 1.5 / 0.5
@@ -601,61 +594,14 @@ class TestConstructionReporting:
 
     def test_over_reference_is_report_only(self):
         document = self.entry(2.0)
-        lines = construction_report(document, self.BOUNDS)
+        lines = construction_time_report(document, self.BOUNDS)
         assert len(lines) == 1
         assert "OVER (report-only)" in lines[0]
         # The counter checker never fails on wall-clock.
         assert check_bounds(document, self.BOUNDS) == []
 
     def test_missing_entries_are_silently_skipped(self):
-        assert construction_report({"workloads": []}, self.BOUNDS) == []
-
-
-class TestPartitionedSuite:
-    """The suite-level construction knob is a bit-exactness gate."""
-
-    def test_partitioned_counters_identical_to_serial(self):
-        graph = sparse_scaling_graph(3)
-        serial = _measure_size(
-            graph, "communities=3", run_basic_too=False
-        )
-        partitioned = _measure_size(
-            graph,
-            "communities=3",
-            run_basic_too=False,
-            construction="partitioned",
-            construction_workers=2,
-        )
-        structural = (
-            "initial_candidate_gains",
-            "total_gain_computations",
-            "peak_queue_size",
-            "refreshes_skipped",
-            "dirty_revalidations",
-            "iterations",
-            "final_dl_bits",
-        )
-        for field in structural:
-            assert (
-                partitioned["runs"]["partial/overlap"][field]
-                == serial["runs"]["partial/overlap"][field]
-            ), field
-
-    def test_run_suite_records_construction_knobs(self):
-        document = run_suite(
-            quick=True,
-            only=["usflight"],
-            construction="partitioned",
-            construction_workers=2,
-        )
-        assert document["construction"] == "partitioned"
-        assert document["construction_workers"] == 2
-
-    def test_unknown_construction_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="unknown construction"):
-            run_suite(quick=True, only=["usflight"], construction="sharded")
+        assert construction_time_report({"workloads": []}, self.BOUNDS) == []
 
 
 class TestAtomicWrite:
@@ -686,8 +632,6 @@ class TestAtomicWrite:
             seed=0,
             workloads=None,
             mask_backend=None,
-            construction=None,
-            construction_workers=None,
             search=None,
             search_workers=None,
             out=str(out),

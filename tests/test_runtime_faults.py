@@ -9,9 +9,9 @@ pool or in-process degradation.  Faults come from deterministic
 :class:`~repro.runtime.faults.FaultPlan` schedules, so every chaos
 scenario here reproduces exactly.
 
-Covered per site (construction partitions, search components, batch
-runs): retry-then-succeed, degrade-to-serial past the retry budget,
-and ``on_worker_failure="raise"``; the search site additionally runs
+Covered per site (search components, batch runs): retry-then-succeed,
+degrade-to-serial past the retry budget, and
+``on_worker_failure="raise"``; the search site additionally runs
 across mask backends.
 """
 
@@ -147,10 +147,10 @@ class TestFaultPlan:
         assert FaultPlan.seeded(3) != FaultPlan.seeded(4)
         assert not FaultPlan.seeded(3, rate=0.0)
         full = FaultPlan.seeded(3, rate=1.0, max_index=4)
-        assert len(full.events) == 4 * 3  # every (site, index) pair
+        assert len(full.events) == 4 * 2  # every (site, index) pair
 
     def test_round_trip_and_unknown_fields(self):
-        plan = crash_plan("construction", times=3)
+        plan = crash_plan("search", times=3)
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         with pytest.raises(ConfigError, match="unknown fault plan"):
@@ -292,74 +292,6 @@ class TestSupervisor:
 
 
 # ----------------------------------------------------------------------
-# Construction site: partitions killed, result identical
-# ----------------------------------------------------------------------
-
-
-def construction_graph():
-    graph, _ = planted_astar_graph(
-        50,
-        120,
-        [
-            PlantedAStar("p", ("q", "r"), strength=0.9),
-            PlantedAStar("s", ("t",), strength=0.85),
-        ],
-        noise_values=("n1", "n2"),
-        noise_rate=0.2,
-        seed=11,
-    )
-    return graph
-
-
-def assert_construction_bit_exact(policy):
-    graph = construction_graph()
-    serial = InvertedDatabase.from_graph(graph)
-    supervised = InvertedDatabase.from_graph(
-        graph,
-        construction="partitioned",
-        construction_workers=2,
-        runtime_policy=policy,
-    )
-    assert supervised.snapshot() == serial.snapshot()
-    assert supervised._initial_row_order == serial._initial_row_order
-    assert supervised.construction_report is not None
-    return supervised.construction_report
-
-
-class TestConstructionSite:
-    def test_killed_partition_retries_bit_exact(self):
-        report = assert_construction_bit_exact(
-            quiet_policy(fault_plan=crash_plan("construction", times=1))
-        )
-        assert report.retries >= 1
-        assert report.degraded_tasks == []
-
-    def test_exhausted_partition_degrades_bit_exact(self):
-        report = assert_construction_bit_exact(
-            quiet_policy(
-                fault_plan=crash_plan("construction", times=10),
-                max_task_retries=1,
-            )
-        )
-        assert 0 in report.degraded_tasks
-
-    def test_raise_policy(self):
-        graph = construction_graph()
-        with pytest.raises(WorkerFailure) as excinfo:
-            InvertedDatabase.from_graph(
-                graph,
-                construction="partitioned",
-                construction_workers=2,
-                runtime_policy=quiet_policy(
-                    fault_plan=crash_plan("construction", times=10),
-                    max_task_retries=0,
-                    on_worker_failure="raise",
-                ),
-            )
-        assert excinfo.value.site == "construction"
-
-
-# ----------------------------------------------------------------------
 # Search site: components killed, stitched trace identical
 # ----------------------------------------------------------------------
 
@@ -383,7 +315,7 @@ def assert_search_bit_exact(policy, mask_backend=None, seed=6):
 
 
 class TestSearchSite:
-    @pytest.mark.parametrize("mask_backend", [None, "chunked", "numpy"])
+    @pytest.mark.parametrize("mask_backend", [None, "chunked"])
     def test_killed_component_retries_bit_exact(self, mask_backend):
         report = assert_search_bit_exact(
             quiet_policy(fault_plan=crash_plan("search", times=1)),
@@ -585,3 +517,22 @@ class TestEndToEnd:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["mine", "bench"])
+    def test_cli_rejects_the_removed_construction_site(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+        from repro.graphs.io import save_json
+
+        path = tmp_path / "graph.json"
+        save_json(paper_running_example(), path)
+        plan = '{"events": [{"site": "construction", "index": 0, "kind": "crash"}]}'
+        argv = [command, str(path)] if command == "mine" else [command, "--quick"]
+        assert main(argv + ["--fault-plan", plan]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: fault event site must be one of ('search', 'batch'), "
+            "got 'construction'\n"
+        )
