@@ -12,11 +12,10 @@ The package is organised around the paper's pipeline:
 ``repro.core``
     The paper's primary contribution: the inverted database, MDL
     accounting, the CSPM-Basic and CSPM-Partial search procedures, and
-    the a-star scoring module (Algorithm 5).  Position masks are
-    pluggable (``repro.core.masks``): whole-graph bigint bitmaps, a
-    sparse chunked representation for paper-scale graphs, or
-    numpy-packed chunks — all mining bit-identical models
-    (``CSPMConfig(mask_backend=...)``, default ``"auto"``).
+    the a-star scoring module (Algorithm 5).  Position masks
+    (``repro.core.masks``) are whole-graph bigint bitmaps on small
+    graphs and a sparse chunked representation from 16,384 vertices
+    up, picked by graph size — both mine bit-identical models.
 ``repro.config`` / ``repro.pipeline`` / ``repro.batch``
     The public API surface: the frozen :class:`CSPMConfig`, the
     composable :class:`MiningPipeline` (encode coresets -> inverted DB
@@ -90,13 +89,12 @@ from repro.errors import (
     GraphError,
     MiningError,
     ReproError,
-    WorkerFailure,
 )
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.pipeline import MiningPipeline, PipelineContext, PipelineStage
 from repro.runtime import FaultEvent, FaultPlan
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AStar",
@@ -120,7 +118,6 @@ __all__ = [
     "PipelineStage",
     "ReproError",
     "SEARCHES",
-    "WorkerFailure",
     "fit_many",
     "__version__",
 ]

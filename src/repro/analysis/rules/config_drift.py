@@ -34,6 +34,8 @@ EXEMPT_FIELDS: Dict[str, str] = {
     "max_iterations": "safety cap for embedders, API-only by design",
     "construction": "single allowed value 'serial'; kept so that job "
     "documents pinning it keep loading",
+    "mask_backend": "single allowed value 'auto'; kept so that job "
+    "documents pinning it keep loading",
 }
 
 #: Functions that mark a module as flag-bearing: the drift check only

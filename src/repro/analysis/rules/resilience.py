@@ -67,7 +67,7 @@ class HarvestTimeoutRule(Rule):
     pool modules (``core/``, ``runtime/``, ``batch.py``) when the module
     imports ``concurrent``/``multiprocessing``.  Without a timeout the
     parent blocks forever on a hung worker — the supervisor's per-task
-    ``worker_timeout`` only bounds anything because every harvest goes
+    deadline only bounds anything because every harvest goes
     through ``future.result(timeout=...)``.  A positional deadline or a
     ``timeout=`` keyword both satisfy the rule; ``dict.get(key)``-style
     calls pass because they carry an argument.

@@ -14,14 +14,17 @@ composable :class:`repro.pipeline.MiningPipeline`, the batch runner
 
 CSPM remains parameter-free in the paper's sense: the knobs select
 *variants* (search strategy, coreset encoder, ablations) and output
-post-filters, not data-dependent thresholds.
+post-filters, not data-dependent thresholds.  How a run executes is
+not a knob either: the mask representation follows the graph's size
+(:mod:`repro.core.masks`) and every worker pool runs the supervisor's
+one fixed policy (:mod:`repro.runtime.supervisor`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.runtime.faults import FaultPlan
@@ -29,13 +32,9 @@ from repro.runtime.faults import FaultPlan
 METHODS: Tuple[str, ...] = ("partial", "basic")
 ENCODERS: Tuple[str, ...] = ("singleton", "slim", "krimp")
 UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "exhaustive", "related")
-# Canonical backend-name registry; repro.core.masks re-exports it (this
-# module imports only repro.errors, so that direction is cycle-free;
-# repro.runtime.faults likewise imports only repro.errors).
-MASK_BACKENDS: Tuple[str, ...] = ("auto", "bigint", "chunked")
+MASK_BACKENDS: Tuple[str, ...] = ("auto",)
 CONSTRUCTIONS: Tuple[str, ...] = ("serial",)
 SEARCHES: Tuple[str, ...] = ("serial", "sharded")
-ON_WORKER_FAILURE: Tuple[str, ...] = ("degrade", "raise")
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,10 @@ class CSPMConfig:
         Post-filter: drop a-stars whose leafset is smaller than this
         (default 1 = keep all).  Applied with ``top_k``.
     mask_backend:
-        Position-mask representation for the inverted database
-        (:mod:`repro.core.masks`): ``"auto"`` (default — bigint below
-        the chunking threshold, chunked at paper scale), ``"bigint"``
-        or ``"chunked"``.  Purely an execution-engine choice: every
-        backend mines the bit-identical model, so the field is
-        serialised only when non-default (schema-v1 result documents
-        stay byte-stable).
+        ``"auto"`` is the only value: the position-mask representation
+        is picked from the graph's size (:mod:`repro.core.masks`).  The
+        field stays so that job documents naming it keep loading, and
+        it is never serialised.
     construction:
         How the inverted database is built.  ``"serial"`` — the
         in-process columnar batch builder — is the only value; the
@@ -102,23 +98,6 @@ class CSPMConfig:
         Worker-process count for ``search="sharded"`` (``None`` = one
         per CPU, capped by the component count).  Ignored under serial
         search.
-    worker_timeout:
-        Per-task deadline, in seconds, for every supervised worker
-        pool (:mod:`repro.runtime.supervisor`); ``None`` (default)
-        uses the supervisor's generous built-in deadline — there is no
-        way to wait forever.  Execution-engine knob: serialised only
-        when non-default.
-    max_task_retries:
-        How many times a failed pool task (crash, hang, pickle error,
-        corrupt result) is re-submitted before the supervisor gives
-        up on the pool for that task (default 2).  Execution-engine
-        knob: serialised only when non-default.
-    on_worker_failure:
-        What the supervisor does with a task that exhausts its
-        retries: ``"degrade"`` (default) re-executes it in-process —
-        bit-exact with the serial run — while ``"raise"`` raises
-        :class:`~repro.errors.WorkerFailure`.  Execution-engine knob:
-        serialised only when non-default.
     fault_plan:
         Deterministic fault-injection schedule for tests and chaos
         runs (:class:`repro.runtime.faults.FaultPlan`; also accepts
@@ -156,9 +135,6 @@ class CSPMConfig:
     construction: str = "serial"
     search: str = "serial"
     search_workers: Optional[int] = None
-    worker_timeout: Optional[float] = None
-    max_task_retries: int = 2
-    on_worker_failure: str = "degrade"
     fault_plan: Optional[FaultPlan] = None
     trace: bool = False
     metrics: bool = False
@@ -232,29 +208,6 @@ class CSPMConfig:
                 f"search_workers must be None or a positive int, "
                 f"got {self.search_workers!r}"
             )
-        if self.worker_timeout is not None and not (
-            isinstance(self.worker_timeout, (int, float))
-            and not isinstance(self.worker_timeout, bool)
-            and self.worker_timeout > 0
-        ):
-            raise ConfigError(
-                f"worker_timeout must be None or a positive number, "
-                f"got {self.worker_timeout!r}"
-            )
-        if not (
-            isinstance(self.max_task_retries, int)
-            and not isinstance(self.max_task_retries, bool)
-            and self.max_task_retries >= 0
-        ):
-            raise ConfigError(
-                f"max_task_retries must be a non-negative int, "
-                f"got {self.max_task_retries!r}"
-            )
-        if self.on_worker_failure not in ON_WORKER_FAILURE:
-            raise ConfigError(
-                f"on_worker_failure must be one of {ON_WORKER_FAILURE}, "
-                f"got {self.on_worker_failure!r}"
-            )
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
         if not isinstance(self.metrics, bool):
@@ -276,25 +229,28 @@ class CSPMConfig:
     # Derivation and serialisation
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _reject_unknown(cls, names: Iterable[str]) -> None:
+        known = {field.name for field in dataclasses.fields(cls)}
+        unknown = sorted(set(names) - known)
+        if unknown:
+            raise ConfigError(f"unknown config fields: {unknown}")
+
     def replace(self, **changes: Any) -> "CSPMConfig":
         """A new config with ``changes`` applied (re-validated)."""
-        try:
-            return dataclasses.replace(self, **changes)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        self._reject_unknown(changes)
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable mapping of the config.
 
         The execution-engine knobs (``mask_backend``, ``construction``,
-        ``search``/``search_workers`` and the supervised-runtime knobs
-        ``worker_timeout``/``max_task_retries``/``on_worker_failure``/
-        ``fault_plan``, and the observability knobs
-        ``trace``/``metrics``/``progress``) are included only when
-        non-default: they never
-        change the mined output, and omitting the defaults keeps
-        existing schema-v1 result documents (including the CLI golden
-        file) byte-identical.  :meth:`from_dict` round-trips either
+        ``search``/``search_workers``, ``fault_plan``, and the
+        observability knobs ``trace``/``metrics``/``progress``) are
+        included only when non-default: they never change the mined
+        output, and omitting the defaults keeps existing schema-v1
+        result documents (including the CLI golden file)
+        byte-identical.  :meth:`from_dict` round-trips either
         way (a serialised ``fault_plan`` comes back as its mapping and
         is re-coerced to a :class:`FaultPlan` at construction).
         """
@@ -307,12 +263,6 @@ class CSPMConfig:
             del document["search"]
         if document["search_workers"] is None:
             del document["search_workers"]
-        if document["worker_timeout"] is None:
-            del document["worker_timeout"]
-        if document["max_task_retries"] == 2:
-            del document["max_task_retries"]
-        if document["on_worker_failure"] == "degrade":
-            del document["on_worker_failure"]
         if document["trace"] is False:
             del document["trace"]
         if document["metrics"] is False:
@@ -335,10 +285,7 @@ class CSPMConfig:
         Unknown keys are rejected so that typos in job descriptions
         fail loudly instead of silently running with defaults.
         """
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(document) - known)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
+        cls._reject_unknown(document)
         return cls(**dict(document))
 
     def describe(self) -> str:

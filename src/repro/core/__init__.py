@@ -9,7 +9,7 @@ from repro.core.astar import AStar
 from repro.core.candidates import LeafsetInterner
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.inverted_db import InvertedDatabase, MergeOutcome
-from repro.core.masks import MaskBackend, get_backend, resolve_backend
+from repro.core.masks import MaskBackend, resolve_backend
 from repro.core.mdl import (
     DescriptionLength,
     conditional_entropy,
@@ -34,7 +34,6 @@ __all__ = [
     "StandardCodeTable",
     "conditional_entropy",
     "description_length",
-    "get_backend",
     "initial_description_length",
     "overlap_pairs",
     "resolve_backend",

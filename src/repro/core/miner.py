@@ -15,9 +15,9 @@
 4. return the surviving a-stars ranked by ascending code length.
 
 The facade is configuration-driven: ``CSPM(config=CSPMConfig(...))``
-is the canonical spelling, while the legacy keyword form
-``CSPM(method="basic", coreset_encoder="slim")`` keeps working as a
-thin shim that builds the config for you.  Both run the exact same
+is the canonical spelling, while the keyword form
+``CSPM(method="basic", coreset_encoder="slim")`` forwards its keywords
+to :class:`~repro.config.CSPMConfig` for you.  Both run the exact same
 pipeline; callers that need custom stages use
 :class:`~repro.pipeline.MiningPipeline` directly, and callers with many
 graphs use :func:`repro.batch.fit_many`.
@@ -42,143 +42,48 @@ class CSPM:
 
     Parameters
     ----------
+    method:
+        Positional shorthand for the ``method`` field.
     config:
         A :class:`~repro.config.CSPMConfig`.  When omitted, one is
-        built from the keyword arguments below (all of which default to
-        the paper's settings).  Keywords passed *alongside* ``config``
-        override the corresponding config fields.
-    method, coreset_encoder, include_model_cost, max_iterations, \
-    partial_update_scope, top_k, min_leafset, mask_backend, \
-    construction, search, search_workers, \
-    worker_timeout, max_task_retries, on_worker_failure, fault_plan, \
-    trace, metrics, progress:
-        Legacy/convenience knobs; see :class:`~repro.config.CSPMConfig`
-        for their meaning.
+        built from the keyword overrides (all of which default to the
+        paper's settings).
+    **overrides:
+        :class:`~repro.config.CSPMConfig` fields; alongside ``config``
+        they replace the corresponding fields.  An unknown name raises
+        :class:`~repro.errors.ConfigError`.
+
+    Every config field is also readable as an attribute of the miner
+    (``CSPM(method="basic").method``); the config itself is frozen.
     """
 
     def __init__(
         self,
         method: str = _UNSET,
-        coreset_encoder: str = _UNSET,
-        include_model_cost: bool = _UNSET,
-        max_iterations: Optional[int] = _UNSET,
-        partial_update_scope: str = _UNSET,
-        top_k: Optional[int] = _UNSET,
-        min_leafset: int = _UNSET,
-        mask_backend: str = _UNSET,
-        construction: str = _UNSET,
-        search: str = _UNSET,
-        search_workers: Optional[int] = _UNSET,
-        worker_timeout: Optional[float] = _UNSET,
-        max_task_retries: int = _UNSET,
-        on_worker_failure: str = _UNSET,
-        fault_plan=_UNSET,
-        trace: bool = _UNSET,
-        metrics: bool = _UNSET,
-        progress: bool = _UNSET,
         config: Optional[CSPMConfig] = None,
+        **overrides: Any,
     ) -> None:
-        overrides = {
-            name: value
-            for name, value in (
-                ("method", method),
-                ("coreset_encoder", coreset_encoder),
-                ("include_model_cost", include_model_cost),
-                ("max_iterations", max_iterations),
-                ("partial_update_scope", partial_update_scope),
-                ("top_k", top_k),
-                ("min_leafset", min_leafset),
-                ("mask_backend", mask_backend),
-                ("construction", construction),
-                ("search", search),
-                ("search_workers", search_workers),
-                ("worker_timeout", worker_timeout),
-                ("max_task_retries", max_task_retries),
-                ("on_worker_failure", on_worker_failure),
-                ("fault_plan", fault_plan),
-                ("trace", trace),
-                ("metrics", metrics),
-                ("progress", progress),
-            )
-            if value is not _UNSET
-        }
+        if method is not _UNSET:
+            overrides["method"] = method
         if config is None:
-            config = CSPMConfig(**overrides)
-        else:
-            if not isinstance(config, CSPMConfig):
-                raise ConfigError(
-                    f"config must be a CSPMConfig, got {type(config).__name__}"
-                )
-            if overrides:
-                config = config.replace(**overrides)
+            config = CSPMConfig()
+        elif not isinstance(config, CSPMConfig):
+            raise ConfigError(
+                f"config must be a CSPMConfig, got {type(config).__name__}"
+            )
+        if overrides:
+            config = config.replace(**overrides)
         self.config = config
 
-    # Legacy attribute access: the seed exposed the knobs as instance
-    # attributes; keep them readable (the config itself is frozen).
-
-    @property
-    def method(self) -> str:
-        return self.config.method
-
-    @property
-    def coreset_encoder(self) -> str:
-        return self.config.coreset_encoder
-
-    @property
-    def include_model_cost(self) -> bool:
-        return self.config.include_model_cost
-
-    @property
-    def max_iterations(self) -> Optional[int]:
-        return self.config.max_iterations
-
-    @property
-    def partial_update_scope(self) -> str:
-        return self.config.partial_update_scope
-
-    @property
-    def mask_backend(self) -> str:
-        return self.config.mask_backend
-
-    @property
-    def construction(self) -> str:
-        return self.config.construction
-
-    @property
-    def search(self) -> str:
-        return self.config.search
-
-    @property
-    def search_workers(self) -> Optional[int]:
-        return self.config.search_workers
-
-    @property
-    def worker_timeout(self) -> Optional[float]:
-        return self.config.worker_timeout
-
-    @property
-    def max_task_retries(self) -> int:
-        return self.config.max_task_retries
-
-    @property
-    def on_worker_failure(self) -> str:
-        return self.config.on_worker_failure
-
-    @property
-    def fault_plan(self):
-        return self.config.fault_plan
-
-    @property
-    def trace(self) -> bool:
-        return self.config.trace
-
-    @property
-    def metrics(self) -> bool:
-        return self.config.metrics
-
-    @property
-    def progress(self) -> bool:
-        return self.config.progress
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names not found normally: read through to
+        # the config's fields.  ``config`` itself is excluded so a
+        # half-built instance cannot recurse.
+        if name != "config" and name in CSPMConfig.__dataclass_fields__:
+            return getattr(self.config, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def __repr__(self) -> str:
         return f"CSPM({self.config.describe()})"

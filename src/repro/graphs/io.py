@@ -45,7 +45,10 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     the first offending entry (``vertices[0]``, ``edges[3]``,
     ``attributes["7"]``) instead of a raw ``TypeError``/``ValueError``
     or a silent reinterpretation (a string of values is not a list of
-    one-character values).
+    one-character values).  Attribute values must all be strings or
+    all be numbers across the document: ``null``, booleans (``true``
+    would merge with ``1``) and a mixture of strings with numbers
+    (which cannot be ranked against each other) are rejected.
     """
 
     def parse(key: str):
@@ -99,6 +102,11 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
                 f"attributes[{json.dumps(key)}]: values must be strings "
                 f"or numbers, got {values!r}"
             ) from None
+    # The kinds of the distinct values, gathered in one call: the
+    # offending key is located only on failure.
+    kinds = set(map(type, set().union(*attributes.values())))
+    if not (kinds <= {str} or kinds <= {int, float}):
+        raise _value_error(attributes)
     return graph
 
 
@@ -116,6 +124,32 @@ def _edge_error(edges: list) -> GraphError:
             continue
         return GraphError(f"edges[{index}]: {problem}, got {edge!r}")
     return GraphError("edges: malformed edge list")
+
+
+def _value_error(attributes: dict) -> GraphError:
+    """The error for the first value of ``attributes`` that is null, a
+    boolean, or of another kind (string or number) than the values
+    before it (the check ``from_json_dict`` failed on)."""
+    first = None
+    for key, values in attributes.items():
+        for value in values:
+            if value is None or type(value) is bool:
+                problem = "values must be strings or numbers"
+            else:
+                kind = "string" if type(value) is str else "number"
+                if first is None:
+                    first = kind
+                    continue
+                if kind == first:
+                    continue
+                problem = (
+                    f"values must be all strings or all numbers, and an "
+                    f"earlier value is a {first}"
+                )
+            return GraphError(
+                f"attributes[{json.dumps(key)}]: {problem}, got {value!r}"
+            )
+    return GraphError("attributes: malformed values")
 
 
 def _member(document: dict, key: str, kind: type, default):

@@ -30,11 +30,10 @@ Workloads
     ROADMAP's pokec scale-ceiling item names.  Whole-graph bigint
     masks are *infeasible* here (every row would pay ``O(|V|)`` bytes;
     the recorded ``bigint_mask_bytes_estimate`` shows gigabytes), so
-    this family always runs on the sparse ``chunked`` backend
-    (:mod:`repro.core.masks`), whatever the suite-level
-    ``--mask-backend``.  CSPM-Partial/overlap only — the quadratic
-    full scan over ~50k leafsets is exactly the blow-up the overlap
-    generator removes.
+    the size rule of :mod:`repro.core.masks` puts every member (20,000
+    vertices and up) on the sparse ``chunked`` backend.
+    CSPM-Partial/overlap only — the quadratic full scan over ~50k
+    leafsets is exactly the blow-up the overlap generator removes.
 ``pokec-xl``
     True paper scale (schema v4): the same family at the source
     paper's pokec size — 32 000 communities = 800k vertices, and
@@ -59,9 +58,9 @@ use the library default update scope (``lazy``), recorded in the run's
 graph, not the machine — so CI asserts regressions on them (``--check
 benchmarks/perf_bounds.json``) instead of on flaky wall-clock
 thresholds; wall-clock is recorded for the human-readable trajectory.
-Mask backends are bit-exact interchangeable, so re-running the suite
-under ``--mask-backend bigint|chunked`` must reproduce identical
-counters — the CI perf-smoke job exercises exactly that.
+Mask backends are bit-exact interchangeable (the tier-1 equivalence
+tests pin it), so the counters do not depend on which one the size
+rule picks.
 
 Schema v4 adds the construction layer: every series entry records
 ``construction_seconds`` (the ``BuildInvertedDB`` wall-clock for that
@@ -86,12 +85,11 @@ the CI sharded smoke's gate.
 
 Schema v6 adds the supervised runtime (:mod:`repro.runtime`): the
 document records the suite-level ``fault_plan`` (the deterministic
-injection schedule of a chaos run, ``null`` for normal runs) plus the
-runtime knobs (``worker_timeout``/``max_task_retries``/
-``on_worker_failure``); supervised sharded runs record ``retries`` and
-``degraded_tasks``.  Injected failures are recovered by retry or bit-exact
-in-process degradation, so **all counter bounds still apply unchanged
-under any fault plan** — that is the CI chaos-smoke job's gate.
+injection schedule of a chaos run, ``null`` for normal runs);
+supervised sharded runs record ``retries`` and ``degraded_tasks``.
+Injected failures are recovered by retry or bit-exact in-process
+degradation, so **all counter bounds still apply unchanged under any
+fault plan** — that is the CI chaos-smoke job's gate.
 
 Schema v7 adds observability (:mod:`repro.obs`): the suite-level
 ``--trace FILE`` records nested spans — including real worker-process
@@ -112,15 +110,23 @@ workload entries are carried over unchanged (see :func:`merge_into`).
 ``--list-workloads`` (or ``--list``) prints the registered families
 with their quick/full member sizes instead of running anything.
 
-Output document (``BENCH_cspm.json``, schema v5)::
+Schema v8 drops four top-level keys: ``mask_backend`` and the three
+supervisor-policy keys (the per-task deadline, the retry budget and
+the failure mode).  The mask backend follows each graph's size (still
+recorded per series entry and run) and the supervisor runs one fixed
+policy.
+
+Output document (``BENCH_cspm.json``, schema v8)::
 
     {
-      "schema_version": 5,
+      "schema_version": 8,
       "suite": "cspm-perf",
       "quick": bool,
-      "mask_backend": "auto",                    # the suite-level request
+      "seed": int,
       "search": "serial",                        # the suite-level search path
       "search_workers": null,
+      "fault_plan": null,
+      "metrics": bool,
       "workloads": [
         {
           "workload": "sparse-scaling",
@@ -174,12 +180,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import (
-    MASK_BACKENDS,
-    ON_WORKER_FAILURE,
-    SEARCHES,
-    CSPMConfig,
-)
+from repro.config import SEARCHES, CSPMConfig
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.search_shard import connected_components, run_sharded
@@ -197,7 +198,7 @@ from repro.obs import (
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
 from repro.runtime.supervisor import RuntimePolicy
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
@@ -290,26 +291,14 @@ def pokec_sparse_graph(num_communities: int, seed: int = 0) -> AttributedGraph:
     )
 
 
-def _prepare(
-    graph: AttributedGraph,
-    mask_backend: str = "auto",
-    runtime_kwargs: Optional[Dict[str, Any]] = None,
-):
+def _prepare(graph: AttributedGraph):
     """Encode coresets + build the inverted DB once per workload size.
 
     Returns the database, the code tables, the initial DL bits and the
     construction wall-clock (the ``BuildInvertedDB`` stage records it
     in ``context.extras`` — schema v4's ``construction_seconds``).
-    ``runtime_kwargs`` carries the supervised-runtime config fields
-    (timeout/retries/failure mode/fault plan) into the config.
     """
-    context = PipelineContext(
-        graph=graph,
-        config=CSPMConfig(
-            mask_backend=mask_backend,
-            **(runtime_kwargs or {}),
-        ),
-    )
+    context = PipelineContext(graph=graph, config=CSPMConfig())
     EncodeCoresets().run(context)
     BuildInvertedDB().run(context)
     return (
@@ -426,23 +415,16 @@ def _measure_size(
     graph: AttributedGraph,
     label: str,
     run_basic_too: bool,
-    mask_backend: str = "auto",
     pair_sources: Sequence[str] = ("overlap", "full"),
     search: str = "serial",
     search_workers: Optional[int] = None,
     workload: Optional[str] = None,
-    runtime_kwargs: Optional[Dict[str, Any]] = None,
+    fault_plan: Optional[Any] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """All (algorithm, pair_source) runs for one workload size."""
-    db0, standard, core, initial_bits, construction_seconds = _prepare(
-        graph,
-        mask_backend=mask_backend,
-        runtime_kwargs=runtime_kwargs,
-    )
-    policy = RuntimePolicy.from_config(
-        CSPMConfig(**(runtime_kwargs or {}))
-    )
+    db0, standard, core, initial_bits, construction_seconds = _prepare(graph)
+    policy = RuntimePolicy.from_config(CSPMConfig(fault_plan=fault_plan))
     num_leafsets = db0.num_leafsets
     initial_mask_bytes = db0.mask_memory_bytes()
     # Structural component statistics (schema v5): what bounds the
@@ -588,12 +570,8 @@ def run_suite(
     seed: int = 0,
     log=None,
     only: Optional[Sequence[str]] = None,
-    mask_backend: str = "auto",
     search: str = "serial",
     search_workers: Optional[int] = None,
-    worker_timeout: Optional[float] = None,
-    max_task_retries: int = 2,
-    on_worker_failure: str = "degrade",
     fault_plan: Optional[Any] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
@@ -609,20 +587,14 @@ def run_suite(
     ``only`` restricts the run to the named workload families (see
     ``WORKLOAD_NAMES``); unknown names raise ``ValueError`` so CLI
     typos fail loudly instead of silently measuring nothing.
-    ``mask_backend`` forces a position-mask representation on every
-    workload (``pokec-sparse``/``pokec-xl`` always run ``chunked``:
-    whole-graph bigint masks are the infeasibility they demonstrate);
-    counters must be identical across backends, which is how CI pins
-    bit-exactness.
     ``search``/``search_workers`` select the CSPM-Partial execution
     (schema v5): the component-sharded path stitches a bit-exact
     serial-equivalent trace, so the same counter bounds gate it too.
-    The supervised-runtime knobs (schema v6) — ``worker_timeout``,
-    ``max_task_retries``, ``on_worker_failure``, ``fault_plan`` (a
+    ``fault_plan`` (schema v6; a
     :class:`~repro.runtime.faults.FaultPlan` or its mapping/JSON/path
-    spellings) — govern every worker pool the suite spins up; injected
-    failures recover by retry or bit-exact degradation, so the bounds
-    still apply (the CI chaos smoke's gate).
+    spellings) is injected into every worker pool the suite spins up;
+    injected failures recover by retry or bit-exact degradation, so
+    the bounds still apply (the CI chaos smoke's gate).
     """
     if only:
         unknown = sorted(set(only) - set(WORKLOAD_NAMES))
@@ -630,20 +602,9 @@ def run_suite(
             raise ValueError(
                 f"unknown workload(s) {unknown}; available: {list(WORKLOAD_NAMES)}"
             )
-    if mask_backend not in MASK_BACKENDS:
-        raise ValueError(
-            f"unknown mask backend {mask_backend!r}; "
-            f"available: {list(MASK_BACKENDS)}"
-        )
     if search not in SEARCHES:
         raise ValueError(
             f"unknown search {search!r}; available: {list(SEARCHES)}"
-        )
-
-    if on_worker_failure not in ON_WORKER_FAILURE:
-        raise ValueError(
-            f"unknown on_worker_failure {on_worker_failure!r}; "
-            f"available: {list(ON_WORKER_FAILURE)}"
         )
     # Normalise the plan once (CSPMConfig would coerce anyway; doing it
     # here surfaces a malformed plan before any measurement runs, and
@@ -651,12 +612,6 @@ def run_suite(
     from repro.runtime.faults import FaultPlan
 
     plan = FaultPlan.coerce(fault_plan)
-    runtime_kwargs: Dict[str, Any] = {
-        "worker_timeout": worker_timeout,
-        "max_task_retries": max_task_retries,
-        "on_worker_failure": on_worker_failure,
-        "fault_plan": plan,
-    }
 
     def wanted(name: str) -> bool:
         return not only or name in only
@@ -672,7 +627,7 @@ def run_suite(
             search=search,
             search_workers=search_workers,
             workload=workload,
-            runtime_kwargs=runtime_kwargs,
+            fault_plan=plan,
             metrics=metrics,
             **kwargs,
         )
@@ -691,7 +646,6 @@ def run_suite(
                     f"communities={num_communities}",
                     "sparse-scaling",
                     run_basic_too=True,
-                    mask_backend=mask_backend,
                 )
             )
         workloads.append(
@@ -721,7 +675,6 @@ def run_suite(
                         f"scale={scale}",
                         name,
                         run_basic_too=False,
-                        mask_backend=mask_backend,
                     )
                 ],
             }
@@ -737,13 +690,11 @@ def run_suite(
         if not sizes:
             say(f"{family}: full-suite only, skipped under --quick")
             continue
-        backend = "chunked"
         series = []
         for num_communities in sizes:
             say(
                 f"{family}: communities={num_communities} "
-                f"(~{num_communities * SPARSE_COMMUNITY_SIZE} vertices, "
-                f"mask_backend={backend}) ..."
+                f"(~{num_communities * SPARSE_COMMUNITY_SIZE} vertices) ..."
             )
             graph = pokec_sparse_graph(num_communities, seed=seed)
             series.append(
@@ -752,7 +703,6 @@ def run_suite(
                     f"communities={num_communities}",
                     family,
                     run_basic_too=False,
-                    mask_backend=backend,
                     pair_sources=("overlap",),
                 )
             )
@@ -771,12 +721,8 @@ def run_suite(
         "suite": "cspm-perf",
         "quick": quick,
         "seed": seed,
-        "mask_backend": mask_backend,
         "search": search,
         "search_workers": search_workers,
-        "worker_timeout": worker_timeout,
-        "max_task_retries": max_task_retries,
-        "on_worker_failure": on_worker_failure,
         "fault_plan": plan.to_dict() if plan is not None else None,
         "metrics": metrics,
         "workloads": workloads,
@@ -1052,16 +998,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "entries of the output file for other families are kept",
     )
     parser.add_argument(
-        "--mask-backend",
-        dest="mask_backend",
-        choices=MASK_BACKENDS,
-        default="auto",
-        help="position-mask representation for every workload "
-        "(pokec-sparse/pokec-xl always run chunked); "
-        "counters are bit-exact across backends, so bounds apply "
-        "unchanged",
-    )
-    parser.add_argument(
         "--search",
         dest="search",
         choices=SEARCHES,
@@ -1078,32 +1014,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for --search sharded "
         "(default: one per CPU)",
-    )
-    parser.add_argument(
-        "--worker-timeout",
-        dest="worker_timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task timeout for supervised worker pools (default: "
-        "300s); a timed-out task counts as one failed attempt",
-    )
-    parser.add_argument(
-        "--max-task-retries",
-        dest="max_task_retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="pool re-submissions per task before the failure policy "
-        "applies (default: 2)",
-    )
-    parser.add_argument(
-        "--on-worker-failure",
-        dest="on_worker_failure",
-        choices=ON_WORKER_FAILURE,
-        default="degrade",
-        help="after retries are exhausted: 'degrade' re-runs the task "
-        "in-process (bit-exact vs serial), 'raise' aborts the suite",
     )
     parser.add_argument(
         "--fault-plan",
@@ -1194,12 +1104,8 @@ def execute(args) -> int:
             seed=args.seed,
             log=print,
             only=args.workloads,
-            mask_backend=args.mask_backend,
             search=args.search,
             search_workers=args.search_workers,
-            worker_timeout=getattr(args, "worker_timeout", None),
-            max_task_retries=getattr(args, "max_task_retries", 2),
-            on_worker_failure=getattr(args, "on_worker_failure", "degrade"),
             fault_plan=getattr(args, "fault_plan", None),
             metrics=getattr(args, "metrics", None) is not None,
         )

@@ -199,11 +199,11 @@ class EncodeCoresets(PipelineStage):
 class BuildInvertedDB(PipelineStage):
     """Step 2 of Algorithm 1: the inverted database and the initial DL.
 
-    The position-mask backend comes from ``config.mask_backend``
-    (:mod:`repro.core.masks`; ``"auto"`` resolves by graph size —
-    bigint for small graphs, chunked sparse bitmaps at paper scale); the
-    database is built in-process by the columnar batch builder, the
-    only build path (``config.construction`` is always ``"serial"``).
+    The position-mask backend follows the graph's size
+    (:func:`repro.core.masks.resolve_backend` — bigint for small
+    graphs, chunked sparse bitmaps from 16,384 vertices); the database
+    is built in-process by the columnar batch builder, the only build
+    path.
     The stage records the construction wall-clock in
     ``context.extras["construction_seconds"]`` (the perf suite's
     schema-v4 metric).
@@ -216,12 +216,8 @@ class BuildInvertedDB(PipelineStage):
     """
 
     def run(self, context: PipelineContext) -> None:
-        config = context.config
         obs = current()
-        backend = resolve_backend(
-            config.mask_backend,
-            num_bits_hint=context.graph.num_vertices,
-        )
+        backend = resolve_backend(context.graph.num_vertices)
         with obs.span("mine.build"):
             start = clock.perf_counter()
             context.inverted_db = InvertedDatabase.from_graph(

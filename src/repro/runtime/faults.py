@@ -23,8 +23,7 @@ keyed by ``(site, task index)``:
   wrong shape (caught by the supervisor's result validation).
 * ``times`` — how many attempts the event sabotages.  ``times=1``
   exercises retry-then-succeed; ``times`` at or above the retry budget
-  forces the degrade-to-serial (or ``on_worker_failure="raise"``)
-  path.
+  forces the degrade-to-serial path.
 
 Plans are either written explicitly (tests, the CI chaos-smoke job) or
 generated from a seed via :meth:`FaultPlan.seeded` — the per-task coin
@@ -61,8 +60,8 @@ KINDS: Tuple[str, ...] = ("crash", "hang", "pickle", "corrupt")
 #: inline JSON (starts with ``{``) or a path to a JSON plan file.
 ENV_VAR = "REPRO_FAULT_PLAN"
 
-#: Default sleep of a ``hang`` event, seconds.  Long enough to trip any
-#: sane ``worker_timeout``; short enough that a worker the supervisor
+#: Default sleep of a ``hang`` event, seconds.  Long enough to trip the
+#: shortened deadlines the tests set; short enough that a worker the supervisor
 #: failed to terminate exits on its own instead of leaking forever.
 DEFAULT_HANG_SECONDS = 30.0
 

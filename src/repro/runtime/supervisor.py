@@ -20,9 +20,13 @@ handling a long-lived mining service needs:
   re-executed *in the parent process* with the already-inherited
   worker state.  Because every parallel path here is pinned bit-exact
   to its serial twin, the degraded result is not "close enough", it is
-  ``==`` the no-fault serial run.  ``on_worker_failure="raise"`` turns
-  exhaustion into a :class:`~repro.errors.WorkerFailure` instead, for
-  callers that prefer loud death.
+  ``==`` the no-fault serial run.
+
+The policy is fixed — a 300 s deadline per task, 2 retries, then
+in-process degradation — and is not configurable from
+:class:`~repro.config.CSPMConfig`; :class:`RuntimePolicy` keeps the
+deadline and the retry budget as constructor fields only so that tests
+can shorten them.
 
 The supervisor never injects faults itself: injection happens in
 :func:`repro.runtime.faults.execute_with_fault` inside worker
@@ -39,7 +43,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import WorkerFailure
 from repro.obs import clock, current
 from repro.runtime.faults import (
     CorruptResult,
@@ -48,9 +51,8 @@ from repro.runtime.faults import (
     resolve_plan,
 )
 
-#: Timeout applied when the policy leaves ``worker_timeout`` unset.
-#: Generous — real tasks finish in seconds — but finite,
-#: so no future wait is unbounded (RES001).
+#: Per-task deadline.  Generous — real tasks finish in seconds — but
+#: finite, so no future wait is unbounded (RES001).
 DEFAULT_WORKER_TIMEOUT = 300.0
 
 #: Cap on a single deterministic backoff delay, seconds.
@@ -74,29 +76,24 @@ def backoff_seconds(site: str, index: int, attempt: int) -> float:
 
 @dataclass(frozen=True)
 class RuntimePolicy:
-    """The supervision knobs for one run, resolved from config + env.
+    """The supervision policy for one run.
 
-    ``worker_timeout=None`` means "use :data:`DEFAULT_WORKER_TIMEOUT`"
-    — there is deliberately no way to wait forever.  ``sleep`` is the
-    injected clock (DET003): production uses the
-    :func:`repro.obs.clock.sleep` seam, tests pass a recorder.
+    Production runs use the defaults: a :data:`DEFAULT_WORKER_TIMEOUT`
+    deadline per task and 2 retries before in-process degradation.
+    ``worker_timeout``, ``max_task_retries`` and ``sleep`` are seams for
+    tests — ``sleep`` is the injected clock (DET003): production uses
+    the :func:`repro.obs.clock.sleep` seam, tests pass a recorder.
     """
 
-    worker_timeout: Optional[float] = None
+    worker_timeout: float = DEFAULT_WORKER_TIMEOUT
     max_task_retries: int = 2
-    on_worker_failure: str = "degrade"
     fault_plan: Optional[FaultPlan] = None
     sleep: Callable[[float], None] = clock.sleep
 
-    @property
-    def effective_timeout(self) -> float:
-        if self.worker_timeout is None:
-            return DEFAULT_WORKER_TIMEOUT
-        return self.worker_timeout
-
     @classmethod
     def from_config(cls, config: Any) -> "RuntimePolicy":
-        """Build a policy from anything shaped like ``CSPMConfig``.
+        """The fixed policy plus the fault plan of anything shaped like
+        ``CSPMConfig``.
 
         Duck-typed on purpose: the runtime package must not import
         ``repro.config`` (config imports faults for plan coercion, and
@@ -104,12 +101,7 @@ class RuntimePolicy:
         fault plans (``REPRO_FAULT_PLAN``) are resolved at this point,
         so every supervised site sees the same activation rule.
         """
-        return cls(
-            worker_timeout=getattr(config, "worker_timeout", None),
-            max_task_retries=getattr(config, "max_task_retries", 2),
-            on_worker_failure=getattr(config, "on_worker_failure", "degrade"),
-            fault_plan=resolve_plan(getattr(config, "fault_plan", None)),
-        )
+        return cls(fault_plan=resolve_plan(getattr(config, "fault_plan", None)))
 
 
 @dataclass
@@ -204,9 +196,8 @@ def run_supervised(
     order with a per-future deadline.  A timeout charges only the task
     that timed out; a ``BrokenProcessPool`` charges every task that
     had not finished (the executor cannot attribute the crash).  Tasks
-    whose attempt count exceeds ``max_task_retries`` leave the pool:
-    they are re-run in-process (``on_worker_failure="degrade"``) or
-    raised (``"raise"``).
+    whose attempt count exceeds ``max_task_retries`` leave the pool
+    and are re-run in-process.
     """
     if policy is None:
         policy = RuntimePolicy()
@@ -217,7 +208,7 @@ def run_supervised(
     results: Dict[int, Any] = {}
     attempts: Dict[int, int] = {index: 0 for index in range(len(jobs))}
     pending: List[int] = list(range(len(jobs)))
-    timeout = policy.effective_timeout
+    timeout = policy.worker_timeout
     plan = policy.fault_plan
 
     def _validate(index: int, value: Any) -> Optional[str]:
@@ -341,17 +332,6 @@ def run_supervised(
                 _kill_pool(pool)
 
         for index in exhausted:
-            if policy.on_worker_failure == "raise":
-                report.seconds = clock.perf_counter() - started
-                raise WorkerFailure(
-                    f"{site} task {index} failed after "
-                    f"{attempts[index]} attempts "
-                    f"(last: {report.failures[-1]}); "
-                    f"on_worker_failure='raise'",
-                    site=site,
-                    task_index=index,
-                    attempts=attempts[index],
-                )
             obs.instant("supervisor.degrade", site=site, task=index)
             obs.metrics.counter("runtime.degraded_tasks").inc(1, site=site)
             obs.progress.note("runtime", site=site, task=index, degraded=1)

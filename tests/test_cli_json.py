@@ -152,6 +152,22 @@ class TestMalformedGraphJson:
             ({"vertices": [1, {"id": 2}]}, "vertices[1]"),
             ({"edges": [[1, 2], [3, 3]]}, "edges[1]"),
             ({"attributes": {"1": ["a"], "2": 7}}, 'attributes["2"]'),
+            (
+                {"edges": [[1, 2]], "attributes": {"1": [None, 1.5], "2": ["a"]}},
+                'attributes["1"]',
+            ),
+            (
+                {"edges": [[1, 2]], "attributes": {"1": ["a", 1], "2": ["b"]}},
+                'attributes["1"]',
+            ),
+            (
+                {"edges": [[1, 2]], "attributes": {"1": [True, 1], "2": [1]}},
+                'attributes["1"]',
+            ),
+            (
+                {"edges": [[1, 2]], "attributes": {"1": ["a"], "2": [2]}},
+                'attributes["2"]',
+            ),
         ],
     )
     def test_rejected_with_json_path(self, tmp_path, capsys, document, path):

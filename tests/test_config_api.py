@@ -47,6 +47,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="construction_workers"):
             CSPMConfig.from_dict({"construction_workers": 2})
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"worker_timeout": 5.0},
+            {"max_task_retries": 1},
+            {"on_worker_failure": "raise"},
+        ],
+        ids=lambda document: next(iter(document)),
+    )
+    def test_removed_runtime_fields_are_unknown(self, document):
+        (name,) = document
+        with pytest.raises(ConfigError, match=f"unknown config fields.*{name}"):
+            CSPMConfig.from_dict(document)
+
     def test_construction_fault_site_rejected(self):
         from repro.runtime.faults import FaultEvent
 
@@ -114,6 +128,21 @@ class TestFacadeShim:
 
     def test_legacy_positional(self):
         assert CSPM("basic").config.method == "basic"
+
+    def test_unknown_keyword_names_the_field(self):
+        with pytest.raises(ConfigError, match="worker_timeout"):
+            CSPM(worker_timeout=5.0)
+        with pytest.raises(ConfigError, match="mask_backnd"):
+            CSPM(config=CSPMConfig(), mask_backnd="auto")
+
+    def test_every_field_reads_through(self):
+        miner = CSPM(top_k=3, search="sharded", search_workers=2)
+        for field in dataclasses.fields(CSPMConfig):
+            assert getattr(miner, field.name) == getattr(
+                miner.config, field.name
+            )
+        with pytest.raises(AttributeError, match="no_such_knob"):
+            miner.no_such_knob
 
     def test_legacy_invalid_still_mining_error(self):
         with pytest.raises(MiningError):

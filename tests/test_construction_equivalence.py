@@ -19,7 +19,7 @@ from repro.config import CSPMConfig
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend, get_backend
+from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend
 from repro.core.mdl import description_length, initial_description_length
 from repro.errors import ConfigError, MiningError
 from repro.graphs.attributed_graph import AttributedGraph
@@ -113,7 +113,7 @@ class TestColumnarEquivalence:
         standard = StandardCodeTable.from_graph(graph)
         core = CoreCodeTable.singletons_from_graph(graph)
         results = []
-        for db in builders(graph, get_backend("chunked")):
+        for db in builders(graph, ChunkedMaskBackend()):
             trace = run_partial(db, standard, core)
             results.append(
                 (
@@ -234,7 +234,10 @@ class TestConfigAndFacade:
         [
             ["--construction", "partitioned"],
             ["--construction-workers", "2"],
-            ["--mask-backend", "numpy"],
+            ["--mask-backend", "chunked"],
+            ["--worker-timeout", "5"],
+            ["--max-task-retries", "1"],
+            ["--on-worker-failure", "raise"],
         ],
         ids=lambda flags: flags[0],
     )

@@ -146,6 +146,13 @@ class TestJsonBoundary:
             ({"vertices": {}}, "vertices"),
             ({"edges": "ab"}, "edges"),
             ({"attributes": []}, "attributes"),
+            ({"attributes": {"1": ["a", None]}}, 'attributes["1"]'),
+            ({"attributes": {"1": [1.5], "2": [None]}}, 'attributes["2"]'),
+            ({"attributes": {"1": [True, 1]}}, 'attributes["1"]'),
+            ({"attributes": {"1": ["a"], "2": [False]}}, 'attributes["2"]'),
+            ({"attributes": {"1": ["a", 1]}}, 'attributes["1"]'),
+            ({"attributes": {"1": ["a"], "2": ["b", 2.5]}}, 'attributes["2"]'),
+            ({"attributes": {"1": [1], "2": [2], "3": ["c"]}}, 'attributes["3"]'),
         ],
     )
     def test_malformed_entry_named_by_path(self, document, path):
@@ -174,8 +181,9 @@ class TestJsonBoundary:
         assert graph.degree(7) == 0
 
     def test_numeric_values_are_kept(self):
-        graph = from_json_dict({"attributes": {"1": [3, "x", 2.5]}})
-        assert graph.attributes_of(1) == frozenset({3, "x", 2.5})
+        graph = from_json_dict({"attributes": {"1": [3, 2.5], "2": [3]}})
+        assert graph.attributes_of(1) == frozenset({3, 2.5})
+        assert graph.attributes_of(2) == frozenset({3})
 
     def test_string_keys_kept_without_int_vertices(self):
         document = {"edges": [["1", "2"]], "attributes": {"1": ["a"]}}

@@ -21,25 +21,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import CSPMConfig
+from repro.config import MASK_BACKENDS, CSPMConfig
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import (
     AUTO_CHUNKED_MIN_BITS,
-    MASK_BACKENDS,
     BigintMaskBackend,
     ChunkedMaskBackend,
     bigint_mask_bytes,
-    get_backend,
     resolve_backend,
 )
 from repro.core.mdl import description_length, initial_description_length
-from repro.errors import ConfigError, MiningError
+from repro.errors import ConfigError
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
-BACKEND_NAMES = ("bigint", "chunked")
+BACKEND_CLASSES = {"bigint": BigintMaskBackend, "chunked": ChunkedMaskBackend}
+BACKEND_NAMES = tuple(BACKEND_CLASSES)
 
 # Small-chunk variants stress the chunk boundaries far harder than the
 # production defaults on the same bit ranges; the 1024-bit variant puts
@@ -240,19 +239,29 @@ class TestBackendOps:
 
 class TestRegistry:
     def test_names_round_trip(self):
-        for name in BACKEND_NAMES:
-            assert get_backend(name).name == name
+        for name, backend_class in BACKEND_CLASSES.items():
+            assert backend_class().name == name
 
     def test_unknown_name_rejected(self):
-        for name in ("roaring", "numpy"):
-            with pytest.raises(MiningError, match="unknown mask backend"):
-                get_backend(name)
+        # No name selects a backend any more: only "auto" is accepted.
+        for name in ("roaring", "numpy", "bigint", "chunked"):
+            with pytest.raises(ConfigError, match=r"\('auto',\)"):
+                CSPMConfig(mask_backend=name)
 
     def test_auto_resolves_by_size(self):
-        assert resolve_backend("auto", 100).name == "bigint"
-        assert resolve_backend("auto", AUTO_CHUNKED_MIN_BITS).name == "chunked"
-        assert resolve_backend("auto", None).name == "bigint"
-        assert resolve_backend("chunked", 100).name == "chunked"
+        assert resolve_backend(0).name == "bigint"
+        assert resolve_backend(100).name == "bigint"
+        assert resolve_backend(AUTO_CHUNKED_MIN_BITS - 1).name == "bigint"
+        assert resolve_backend(AUTO_CHUNKED_MIN_BITS).name == "chunked"
+
+    def test_size_rule_on_the_benchmark_graphs(self):
+        # The largest batch-small graph stays on bigint; the
+        # sparse-communities (30,000 vertices) and dense-social
+        # (81,640 vertices) graphs get chunked masks.
+        assert AUTO_CHUNKED_MIN_BITS == 16384
+        assert resolve_backend(2723).name == "bigint"
+        assert resolve_backend(30000).name == "chunked"
+        assert resolve_backend(81640).name == "chunked"
 
     def test_chunk_width_validation(self):
         with pytest.raises(ValueError):
@@ -282,8 +291,9 @@ def random_graph(seed, num_vertices=45, num_edges=110):
 
 
 def setup(graph, backend_name):
+    backend = BACKEND_CLASSES[backend_name]()
     return (
-        InvertedDatabase.from_graph(graph, mask_backend=get_backend(backend_name)),
+        InvertedDatabase.from_graph(graph, mask_backend=backend),
         StandardCodeTable.from_graph(graph),
         CoreCodeTable.singletons_from_graph(graph),
     )
@@ -498,7 +508,7 @@ class TestMemoryAccounting:
 
         graph = pokec_sparse_graph(200)  # 5000 vertices
         db = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend("chunked")
+            graph, mask_backend=ChunkedMaskBackend()
         )
         assert db.mask_memory_bytes() * 2 < db.bigint_mask_bytes_estimate()
 
@@ -516,10 +526,10 @@ class TestMemoryAccounting:
 
         graph = pokec_sparse_graph(20)
         sparse = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend(name)
+            graph, mask_backend=BACKEND_CLASSES[name]()
         )
         bigint = InvertedDatabase.from_graph(
-            graph, mask_backend=get_backend("bigint")
+            graph, mask_backend=BigintMaskBackend()
         )
         assert sparse.bigint_mask_bytes_estimate() == bigint.mask_memory_bytes()
         assert bigint.bigint_mask_bytes_estimate() == bigint.mask_memory_bytes()
@@ -528,11 +538,9 @@ class TestMemoryAccounting:
 class TestConfigIntegration:
     def test_mask_backend_field_validated(self):
         assert CSPMConfig().mask_backend == "auto"
-        assert CSPMConfig(mask_backend="chunked").mask_backend == "chunked"
+        assert MASK_BACKENDS == ("auto",)
         with pytest.raises(ConfigError, match="mask_backend"):
-            CSPMConfig(mask_backend="roaring")
-        assert CSPMConfig.__dataclass_fields__.keys() >= {"mask_backend"}
-        assert MASK_BACKENDS == ("auto", "bigint", "chunked")
+            CSPMConfig(mask_backend="bigint")
 
     def test_default_backend_not_serialised(self):
         # Schema-v1 result documents (and the CLI golden file) must not
@@ -540,30 +548,35 @@ class TestConfigIntegration:
         assert "mask_backend" not in CSPMConfig().to_dict()
         assert CSPMConfig.from_dict(CSPMConfig().to_dict()) == CSPMConfig()
 
-    def test_non_default_backend_round_trips(self):
-        config = CSPMConfig(mask_backend="chunked")
-        document = config.to_dict()
-        assert document["mask_backend"] == "chunked"
-        assert CSPMConfig.from_dict(document) == config
+    def test_pinned_auto_backend_loads(self):
+        # Job documents that pin the only value keep loading; any other
+        # value is rejected at the boundary.
+        assert CSPMConfig.from_dict({"mask_backend": "auto"}) == CSPMConfig()
+        with pytest.raises(ConfigError, match=r"\('auto',\)"):
+            CSPMConfig.from_dict({"mask_backend": "chunked"})
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_facade_results_identical(self, name, paper_graph):
+        # The facade picks bigint for the paper graph; a database built
+        # on either backend object mines the identical model.
         from repro import CSPM
 
         reference = CSPM().fit(paper_graph)
-        mined = CSPM(mask_backend=name).fit(paper_graph)
-        assert mined.inverted_db.mask_backend.name == name
-        # The mined model is identical field-for-field; only the
-        # config's backend record may differ.
-        assert [star.to_dict() for star in mined.astars] == [
-            star.to_dict() for star in reference.astars
+        assert reference.inverted_db.mask_backend.name == "bigint"
+        db, standard, core = setup(paper_graph, name)
+        assert db.mask_backend.name == name
+        trace = run_partial(db, standard, core)
+        assert [t.merged_pair for t in trace.iterations] == [
+            t.merged_pair for t in reference.trace.iterations
         ]
-        assert mined.trace.final_dl_bits == reference.trace.final_dl_bits
+        assert trace.final_dl_bits == reference.trace.final_dl_bits
+        assert db.snapshot() == reference.inverted_db.snapshot()
         assert math.isclose(
-            mined.final_dl.total_bits, reference.final_dl.total_bits
+            description_length(db, standard, core).total_bits,
+            reference.final_dl.total_bits,
         )
 
-    def test_cli_exposes_backend_flag(self, tmp_path, capsys):
+    def test_cli_records_no_backend(self, tmp_path, capsys):
         import json
 
         from repro.cli import main
@@ -572,9 +585,9 @@ class TestConfigIntegration:
 
         path = tmp_path / "graph.json"
         save_json(paper_running_example(), str(path))
-        assert main(["mine", str(path), "--mask-backend", "chunked", "--json"]) == 0
+        assert main(["mine", str(path), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["config"]["mask_backend"] == "chunked"
+        assert "mask_backend" not in document["config"]
 
 
 class TestAndnotPurity:

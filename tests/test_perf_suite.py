@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import repro.core.masks as masks
 from repro.perf.suite import (
     SCHEMA_VERSION,
     _measure_size,
@@ -49,7 +50,7 @@ class TestMeasureSize:
         assert tiny_entry["runs"]["basic/overlap"]["peak_queue_size"] == 0
 
     def test_schema_version_and_lazy_counters(self, tiny_entry):
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
         partial = tiny_entry["runs"]["partial/overlap"]
         # Partial runs use (and record) the library default scope, and
         # the bound-driven refresh skips at least something on any
@@ -128,7 +129,6 @@ class TestMeasureSize:
             graph,
             "communities=800",  # label with a recorded baseline
             run_basic_too=False,
-            mask_backend="chunked",
             pair_sources=("overlap",),
             workload="pokec-sparse",
         )
@@ -138,7 +138,9 @@ class TestMeasureSize:
             ]
         )
 
-    def test_counters_identical_across_mask_backends(self):
+    def test_counters_identical_across_mask_backends(self, monkeypatch):
+        # The size rule picks the backend; lowering its threshold puts
+        # the same tiny graph on chunked masks.
         graph = sparse_scaling_graph(3)
         structural = (
             "initial_candidate_gains",
@@ -150,11 +152,12 @@ class TestMeasureSize:
             "final_dl_bits",
         )
         entries = {
-            backend: _measure_size(
-                graph, "communities=3", run_basic_too=False, mask_backend=backend
-            )
-            for backend in ("bigint", "chunked")
+            "bigint": _measure_size(graph, "communities=3", run_basic_too=False)
         }
+        monkeypatch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
+        entries["chunked"] = _measure_size(
+            graph, "communities=3", run_basic_too=False
+        )
         reference = entries["bigint"]["runs"]["partial/overlap"]
         for backend, entry in entries.items():
             assert entry["mask_backend"] == backend
@@ -221,6 +224,14 @@ class TestWorkloadFilter:
         document = run_suite(quick=True, only=["usflight"])
         assert [w["workload"] for w in document["workloads"]] == ["usflight"]
         assert document["schema_version"] == SCHEMA_VERSION
+        # Schema v8 dropped the suite-level engine and policy keys.
+        dropped = {
+            "mask_backend",
+            "worker_timeout",
+            "max_task_retries",
+            "on_worker_failure",
+        }
+        assert not dropped & set(document)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
@@ -289,14 +300,17 @@ class TestPokecSparse:
 
     @pytest.fixture(scope="class")
     def pokec_entry(self):
+        # Real members have 20,000+ vertices and resolve to chunked
+        # masks; the size rule's threshold is lowered to match here.
         graph = pokec_sparse_graph(4)
-        return _measure_size(
-            graph,
-            "communities=4",
-            run_basic_too=False,
-            mask_backend="chunked",
-            pair_sources=("overlap",),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
+            return _measure_size(
+                graph,
+                "communities=4",
+                run_basic_too=False,
+                pair_sources=("overlap",),
+            )
 
     def test_overlap_only_runs(self, pokec_entry):
         assert set(pokec_entry["runs"]) == {"partial/overlap"}
@@ -631,7 +645,6 @@ class TestAtomicWrite:
             quick=True,
             seed=0,
             workloads=None,
-            mask_backend=None,
             search=None,
             search_workers=None,
             out=str(out),

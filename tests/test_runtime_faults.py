@@ -9,10 +9,9 @@ pool or in-process degradation.  Faults come from deterministic
 :class:`~repro.runtime.faults.FaultPlan` schedules, so every chaos
 scenario here reproduces exactly.
 
-Covered per site (search components, batch runs): retry-then-succeed,
-degrade-to-serial past the retry budget, and
-``on_worker_failure="raise"``; the search site additionally runs
-across mask backends.
+Covered per site (search components, batch runs): retry-then-succeed
+and degrade-to-serial past the retry budget; the search site
+additionally runs across mask backends.
 """
 
 import json
@@ -23,13 +22,14 @@ from repro.config import CSPMConfig
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.masks import get_backend
+from repro.core.masks import ChunkedMaskBackend
 from repro.core.search_shard import run_sharded
-from repro.errors import ConfigError, WorkerFailure
+from repro.errors import ConfigError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 from repro.runtime import (
+    DEFAULT_WORKER_TIMEOUT,
     ENV_VAR,
     CorruptResult,
     FaultEvent,
@@ -99,9 +99,8 @@ def multi_component_graph(seed, parts=3):
 
 
 def search_setup(graph, mask_backend=None):
-    backend = get_backend(mask_backend) if mask_backend else None
     return (
-        InvertedDatabase.from_graph(graph, mask_backend=backend),
+        InvertedDatabase.from_graph(graph, mask_backend=mask_backend),
         StandardCodeTable.from_graph(graph),
         CoreCodeTable.singletons_from_graph(graph),
     )
@@ -194,6 +193,13 @@ class TestFaultPlan:
         # The config's plan wins over the environment's.
         assert RuntimePolicy.from_config(config).fault_plan == plan
 
+    def test_config_supplies_only_the_plan(self):
+        # The deadline and the retry budget are fixed, not config knobs.
+        policy = RuntimePolicy.from_config(CSPMConfig())
+        assert policy.worker_timeout == DEFAULT_WORKER_TIMEOUT == 300.0
+        assert policy.max_task_retries == 2
+        assert policy == RuntimePolicy(fault_plan=resolve_plan(None))
+
 
 # ----------------------------------------------------------------------
 # Supervisor unit behaviour (tiny jobs, real pools)
@@ -243,19 +249,6 @@ class TestSupervisor:
         assert results == [14]
         assert report.degraded_tasks == [0]
         assert report.retries == 1  # one re-submission, then exhausted
-
-    def test_raise_policy_raises_worker_failure(self):
-        policy = quiet_policy(
-            fault_plan=crash_plan("batch", times=10),
-            max_task_retries=0,
-            on_worker_failure="raise",
-        )
-        with pytest.raises(WorkerFailure) as excinfo:
-            run_supervised("batch", [7], _double, policy, max_workers=1)
-        failure = excinfo.value
-        assert failure.site == "batch"
-        assert failure.task_index == 0
-        assert failure.attempts == 1
 
     def test_crash_only_disturbs_its_round(self):
         # Index 1 crashes twice then succeeds; every result is exact
@@ -315,7 +308,9 @@ def assert_search_bit_exact(policy, mask_backend=None, seed=6):
 
 
 class TestSearchSite:
-    @pytest.mark.parametrize("mask_backend", [None, "chunked"])
+    @pytest.mark.parametrize(
+        "mask_backend", [None, ChunkedMaskBackend()], ids=["None", "chunked"]
+    )
     def test_killed_component_retries_bit_exact(self, mask_backend):
         report = assert_search_bit_exact(
             quiet_policy(fault_plan=crash_plan("search", times=1)),
@@ -332,7 +327,9 @@ class TestSearchSite:
         )
         assert any("timed out" in line for line in report.failures)
 
-    @pytest.mark.parametrize("mask_backend", [None, "chunked"])
+    @pytest.mark.parametrize(
+        "mask_backend", [None, ChunkedMaskBackend()], ids=["None", "chunked"]
+    )
     def test_exhausted_component_degrades_bit_exact(self, mask_backend):
         report = assert_search_bit_exact(
             quiet_policy(
@@ -341,23 +338,6 @@ class TestSearchSite:
             mask_backend=mask_backend,
         )
         assert 0 in report.degraded_tasks
-
-    def test_raise_policy(self):
-        graph = multi_component_graph(6)
-        db, standard, core = search_setup(graph)
-        with pytest.raises(WorkerFailure) as excinfo:
-            run_sharded(
-                db,
-                standard,
-                core,
-                workers=2,
-                policy=quiet_policy(
-                    fault_plan=crash_plan("search", times=10),
-                    max_task_retries=0,
-                    on_worker_failure="raise",
-                ),
-            )
-        assert excinfo.value.site == "search"
 
 
 # ----------------------------------------------------------------------
@@ -405,30 +385,11 @@ class TestBatchSite:
         assert report is not None and report.retries >= 1
 
     def test_exhausted_run_degrades_bit_exact(self):
+        # The fixed policy's 2 retries are spent, then run 0 degrades.
         report = assert_batch_bit_exact(
-            CSPMConfig(
-                top_k=15,
-                fault_plan=crash_plan("batch", times=10),
-                max_task_retries=1,
-            )
+            CSPMConfig(top_k=15, fault_plan=crash_plan("batch", times=10))
         )
         assert 0 in report.degraded_tasks
-
-    def test_raise_policy(self):
-        from repro import fit_many
-
-        with pytest.raises(WorkerFailure) as excinfo:
-            fit_many(
-                batch_graphs(),
-                CSPMConfig(
-                    fault_plan=crash_plan("batch", times=10),
-                    max_task_retries=0,
-                    on_worker_failure="raise",
-                ),
-                n_jobs=2,
-                executor="process",
-            )
-        assert excinfo.value.site == "batch"
 
     def test_mining_exception_is_isolated_not_retried(self):
         """A deterministic per-run exception becomes an error record in

@@ -22,7 +22,7 @@ from repro.config import SEARCHES, CSPMConfig
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.masks import get_backend
+from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend
 from repro.core.search_shard import connected_components, run_sharded
 from repro.errors import ConfigError, MiningError
 from repro.graphs.attributed_graph import AttributedGraph
@@ -30,9 +30,8 @@ from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
 
 def setup(graph, mask_backend=None):
-    backend = get_backend(mask_backend) if mask_backend else None
     return (
-        InvertedDatabase.from_graph(graph, mask_backend=backend),
+        InvertedDatabase.from_graph(graph, mask_backend=mask_backend),
         StandardCodeTable.from_graph(graph),
         CoreCodeTable.singletons_from_graph(graph),
     )
@@ -152,7 +151,11 @@ class TestBitExact:
         sharded = assert_bit_exact(multi_component_graph(3), workers=workers)
         assert sharded.num_components >= 3
 
-    @pytest.mark.parametrize("backend", ["bigint", "chunked"])
+    @pytest.mark.parametrize(
+        "backend",
+        [BigintMaskBackend(), ChunkedMaskBackend()],
+        ids=lambda backend: backend.name,
+    )
     def test_mask_backends(self, backend):
         assert_bit_exact(multi_component_graph(4), mask_backend=backend)
 
