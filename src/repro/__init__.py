@@ -23,8 +23,8 @@ The package is organised around the paper's pipeline:
     batch runner.  ``CSPM`` is a thin facade over the default
     pipeline.
 ``repro.runtime``
-    The supervised parallel runtime: every worker pool (sharded
-    search, batch runs) gets per-task timeouts,
+    The supervised parallel runtime: the batch worker pool gets
+    per-task timeouts,
     bounded deterministic retries, bit-exact degrade-to-serial, and
     reproducible fault injection (:class:`FaultPlan`) — see
     ``docs/RESILIENCE.md``.

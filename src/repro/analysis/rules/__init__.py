@@ -10,8 +10,7 @@ DET       determinism: DET001 unsorted accumulation/serialisation,
           DET002 hash()/id() ordering, DET003 unseeded entropy in core/
 MSK       mask backends: MSK001 protocol surface/arity, MSK002 pure-op
           mutation
-FRK       fork/pickle safety: FRK001 pool callables, FRK002 worker
-          payload types
+FRK       fork/pickle safety: FRK001 pool callables
 CFG       config drift: CFG001 field/flag wiring, CFG002 to_dict
           omission defaults
 RES       resilience: RES001 pool harvests without a timeout, RES002

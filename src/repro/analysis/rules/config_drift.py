@@ -36,6 +36,9 @@ EXEMPT_FIELDS: Dict[str, str] = {
     "documents pinning it keep loading",
     "mask_backend": "single allowed value 'auto'; kept so that job "
     "documents pinning it keep loading",
+    "search": "single allowed value 'serial'; kept so that job "
+    "documents pinning it keep loading",
+    "fault_plan": "API-only: its one consumer, fit_many, has no CLI",
 }
 
 #: Functions that mark a module as flag-bearing: the drift check only

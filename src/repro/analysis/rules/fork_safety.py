@@ -1,17 +1,11 @@
-"""Fork/pickle-safety rules for the multiprocessing paths.
+"""Fork/pickle-safety rule for the multiprocessing paths.
 
-The sharded search (``core/search_shard.py``) and the batch runner
-(``batch.py``) fan work out over ``ProcessPoolExecutor``.  Two
-contracts keep that safe (see docs/INVARIANTS.md, family 3):
-
-* every callable handed to a pool API must be resolvable by qualified
-  name in the worker process — a module-level function.  Lambdas and
-  closures pickle by reference to a scope the worker does not have and
-  fail only at runtime, on the non-fork platforms CI does not cover;
-* the payloads workers return (the ``ComponentRun`` columns) must be
-  built from plainly picklable types, because the reverse pickle is a
-  worker's dominant fixed cost and an unpicklable column fails after
-  the search work is already spent.
+The batch runner (``batch.py``) fans work out over
+``ProcessPoolExecutor``.  Every callable handed to a pool API must be
+resolvable by qualified name in the worker process — a module-level
+function.  Lambdas and closures pickle by reference to a scope the
+worker does not have and fail only at runtime, on the non-fork
+platforms CI does not cover (see docs/INVARIANTS.md, family 3).
 """
 
 from __future__ import annotations
@@ -45,37 +39,6 @@ POOL_SUBMIT_METHODS = frozenset(
 
 #: Constructor keywords that carry a callable into a worker process.
 CALLABLE_KEYWORDS = frozenset({"initializer", "target"})
-
-#: Identifiers allowed in worker-payload dataclass annotations in
-#: core/search_shard.py: containers, scalars, and the module's own
-#: key/mask aliases — everything that pickles by value.
-PAYLOAD_ALLOWED_TYPES = frozenset(
-    {
-        "List",
-        "Tuple",
-        "Dict",
-        "Set",
-        "FrozenSet",
-        "Mapping",
-        "Sequence",
-        "Optional",
-        "Union",
-        "Any",
-        "int",
-        "float",
-        "str",
-        "bool",
-        "bytes",
-        "typing",
-        "Value",
-        "Vertex",
-        "LeafKey",
-        "CoreKey",
-        "RowKey",
-        "Mask",
-    }
-)
-
 
 def _module_imports_multiprocessing(tree: ast.Module) -> bool:
     for node in tree.body:
@@ -238,68 +201,3 @@ class PoolCallableRule(Rule):
             )
         return "callable expression is not statically picklable"
 
-
-@register
-class WorkerPayloadRule(Rule):
-    """FRK002: worker-payload dataclasses in the multiprocessing
-    modules restrict their fields to plainly picklable column types.
-
-    Every ``@dataclass`` in the sharded-search module is a
-    cross-process payload (today: ``ComponentRun``).  Field annotations may
-    only use the allowlisted container/scalar names and the module's
-    own key/mask aliases — no callables, no live database or graph
-    types, nothing that drags un-picklable or megabyte-per-entry state
-    through the result pickle.  See docs/INVARIANTS.md (family 3).
-    """
-
-    id = "FRK002"
-    title = "non-allowlisted type in a worker-payload dataclass"
-
-    #: Modules whose dataclasses are cross-process payloads.
-    WORKER_MODULES = ("core/search_shard.py",)
-
-    def check_module(
-        self, module: SourceModule, context: LintContext
-    ) -> Iterable[Finding]:
-        if not any(module.path_endswith(path) for path in self.WORKER_MODULES):
-            return ()
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(
-                (isinstance(dec, ast.Name) and dec.id == "dataclass")
-                or (isinstance(dec, ast.Attribute) and dec.attr == "dataclass")
-                or (
-                    isinstance(dec, ast.Call)
-                    and dotted_name(dec.func) is not None
-                    and dotted_name(dec.func).split(".")[-1] == "dataclass"
-                )
-                for dec in node.decorator_list
-            ):
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.AnnAssign):
-                    continue
-                for identifier in self._annotation_identifiers(
-                    item.annotation
-                ):
-                    if identifier not in PAYLOAD_ALLOWED_TYPES:
-                        findings.append(
-                            self.finding(
-                                module,
-                                item,
-                                f"worker-payload field annotation uses "
-                                f"{identifier!r}, not in the picklable-"
-                                f"column allowlist",
-                            )
-                        )
-        return findings
-
-    @staticmethod
-    def _annotation_identifiers(annotation: ast.AST):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr

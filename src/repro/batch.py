@@ -48,7 +48,7 @@ class BatchRun:
     — failed runs are timed too, so batch dashboards never undercount.
 
     Under ``config.trace=True`` the run's closed span buffer and the
-    executing pid ride along (plain tuples, FRK002-shaped) so
+    executing pid ride along (plain picklable tuples) so
     :func:`fit_many` can fold every run into one parent timeline.
     """
 

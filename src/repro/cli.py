@@ -32,7 +32,6 @@ from repro import __version__
 from repro.config import (
     ENCODERS,
     METHODS,
-    SEARCHES,
     UPDATE_SCOPES,
     CSPMConfig,
 )
@@ -69,38 +68,11 @@ def _add_mine(subparsers) -> None:
         "--min-leafset", type=int, default=1, help="minimum leafset size"
     )
     parser.add_argument(
-        "--search",
-        choices=SEARCHES,
-        default="serial",
-        help="greedy-search execution (repro.core.search_shard): "
-        "'serial' runs the single-process queue loop, 'sharded' mines "
-        "the connected components of the coreset-overlap graph in "
-        "worker processes and stitches a bit-identical result; applies "
-        "to --method partial without an iteration cap",
-    )
-    parser.add_argument(
-        "--search-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --search sharded "
-        "(default: one per CPU)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="JSON|FILE",
-        help="deterministic fault-injection schedule for chaos testing "
-        "(repro.runtime.faults.FaultPlan as inline JSON or a file "
-        "path; the REPRO_FAULT_PLAN environment variable is the "
-        "flag-less spelling)",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
         help="record nested observability spans for every pipeline "
-        "stage and worker pool (repro.obs) and write them to FILE as "
+        "stage (repro.obs) and write them to FILE as "
         "Chrome trace-event JSON — NDJSON when FILE ends with "
         "'.ndjson' — loadable in Perfetto or chrome://tracing; "
         "recording never changes the mined result",
@@ -271,9 +243,6 @@ def _mine_config(args) -> CSPMConfig:
         method=args.method,
         coreset_encoder=args.encoder,
         partial_update_scope=args.scope,
-        search=args.search,
-        search_workers=args.search_workers,
-        fault_plan=args.fault_plan,
         trace=args.trace is not None,
         metrics=args.metrics is not None,
         progress=args.progress,

@@ -34,7 +34,7 @@ ENCODERS: Tuple[str, ...] = ("singleton", "slim", "krimp")
 UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "exhaustive", "related")
 MASK_BACKENDS: Tuple[str, ...] = ("auto",)
 CONSTRUCTIONS: Tuple[str, ...] = ("serial",)
-SEARCHES: Tuple[str, ...] = ("serial", "sharded")
+SEARCHES: Tuple[str, ...] = ("serial",)
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,14 @@ class CSPMConfig:
         field stays so that job documents naming it keep loading, and
         it is never serialised.
     search:
-        How the greedy search runs: ``"serial"`` (default — one
-        process) or ``"sharded"`` (connected components of the
-        shares-a-coreset relation mined in parallel worker processes
-        and replayed into the identical result,
-        :mod:`repro.core.search_shard`).  Another pure
-        execution-engine choice — the mined model, trace and result
-        document are bit-identical — so it is serialised only when
-        non-default.  Applies to ``method="partial"`` runs without an
-        iteration cap; other runs fall back to the serial path.
-    search_workers:
-        Worker-process count for ``search="sharded"`` (``None`` = one
-        per CPU, capped by the component count).  Ignored under serial
-        search.
+        How the greedy search runs.  ``"serial"`` — the single-process
+        queue loop — is the only value; the field stays so that job
+        documents naming it keep loading, and it is never serialised.
     fault_plan:
         Deterministic fault-injection schedule for tests and chaos
-        runs (:class:`repro.runtime.faults.FaultPlan`; also accepts
-        its mapping/JSON/path spellings, and the ``REPRO_FAULT_PLAN``
+        runs of :func:`repro.batch.fit_many`'s process pool
+        (:class:`repro.runtime.faults.FaultPlan`; also accepts its
+        mapping/JSON/path spellings, and the ``REPRO_FAULT_PLAN``
         environment variable supplies one when this is ``None``).
         Injected failures only ever occur inside worker processes, so
         the mined output is still bit-exact.  Serialised only when
@@ -134,7 +125,6 @@ class CSPMConfig:
     mask_backend: str = "auto"
     construction: str = "serial"
     search: str = "serial"
-    search_workers: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     trace: bool = False
     metrics: bool = False
@@ -199,15 +189,6 @@ class CSPMConfig:
             raise ConfigError(
                 f"search must be one of {SEARCHES}, got {self.search!r}"
             )
-        if self.search_workers is not None and not (
-            isinstance(self.search_workers, int)
-            and not isinstance(self.search_workers, bool)
-            and self.search_workers >= 1
-        ):
-            raise ConfigError(
-                f"search_workers must be None or a positive int, "
-                f"got {self.search_workers!r}"
-            )
         if not isinstance(self.trace, bool):
             raise ConfigError(f"trace must be a bool, got {self.trace!r}")
         if not isinstance(self.metrics, bool):
@@ -245,7 +226,7 @@ class CSPMConfig:
         """A JSON-serialisable mapping of the config.
 
         The execution-engine knobs (``mask_backend``, ``construction``,
-        ``search``/``search_workers``, ``fault_plan``, and the
+        ``search``, ``fault_plan``, and the
         observability knobs ``trace``/``metrics``/``progress``) are
         included only when non-default: they never change the mined
         output, and omitting the defaults keeps existing schema-v1
@@ -261,8 +242,6 @@ class CSPMConfig:
             del document["construction"]
         if document["search"] == "serial":
             del document["search"]
-        if document["search_workers"] is None:
-            del document["search_workers"]
         if document["trace"] is False:
             del document["trace"]
         if document["metrics"] is False:

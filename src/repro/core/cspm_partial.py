@@ -142,18 +142,8 @@ def run_partial(
     update_scope: str = "lazy",
     initial_dl_bits: Optional[float] = None,
     pair_source: str = "overlap",
-    recorder=None,
 ) -> RunTrace:
-    """Run CSPM-Partial to convergence, mutating ``db`` in place.
-
-    ``recorder`` (duck-typed, see
-    :class:`repro.core.search_shard.ComponentRecorder`) captures every
-    queue operation and queue-head decision the run makes, which is
-    what lets the component-sharded search replay a worker's run
-    through the stitched global queue bit-exactly.  ``None`` (the
-    default) records nothing and adds no overhead beyond the ``is
-    None`` checks.
-    """
+    """Run CSPM-Partial to convergence, mutating ``db`` in place."""
     if update_scope not in UPDATE_SCOPES:
         raise MiningError(
             f"update_scope must be one of {UPDATE_SCOPES}, got {update_scope!r}"
@@ -172,8 +162,6 @@ def run_partial(
         return breakdown, breakdown.net(include_model_cost)
 
     state = _PartialState(interner)
-    if recorder is not None:
-        state.queue = recorder.make_queue(interner)
     initial_gains = 0
     seed_epoch = db.merge_epoch
     for leaf_x, leaf_y in generate_pairs(db, pair_source):
@@ -196,7 +184,6 @@ def run_partial(
         if popped is None:
             break
         (leaf_x, leaf_y), stored_gain, payload = popped
-        clean = False
         if (
             lazy
             and payload is not None
@@ -208,7 +195,6 @@ def run_partial(
             # gain, so the head is the true maximum.  Merge directly.
             breakdown = payload[0]
             gain = stored_gain
-            clean = True
             trace.refreshes_skipped += 1
         else:
             breakdown, gain = net_gain(leaf_x, leaf_y)
@@ -216,8 +202,6 @@ def run_partial(
             if lazy:
                 trace.dirty_revalidations += 1
             if gain <= GAIN_EPS:
-                if recorder is not None:
-                    recorder.on_drop(leaf_x, leaf_y)
                 state.drop_candidate(leaf_x, leaf_y)
                 continue
             # Revalidation: merge the popped pair only while it is still the
@@ -236,8 +220,6 @@ def run_partial(
                     gain == next_gain
                     and interner.pair_key(pair) > interner.pair_key(next_pair)
                 ):
-                    if recorder is not None:
-                        recorder.on_push(leaf_x, leaf_y)
                     state.queue.set(
                         pair,
                         gain,
@@ -245,8 +227,6 @@ def run_partial(
                     )
                     continue
 
-        if recorder is not None:
-            recorder.on_merge(leaf_x, leaf_y, gain, breakdown, clean)
         num_leafsets = db.num_leafsets
         possible = num_leafsets * (num_leafsets - 1) // 2
         related_x = state.related(leaf_x)
@@ -271,8 +251,6 @@ def run_partial(
         else:
             refresh_gains = _update_lazy(db, state, outcome, net_gain, trace)
         gains_computed += refresh_gains
-        if recorder is not None:
-            recorder.on_refresh_gains(refresh_gains)
 
         trace.iterations.append(
             IterationTrace(

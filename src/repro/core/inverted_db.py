@@ -1151,63 +1151,6 @@ class InvertedDatabase:
         )
         return db
 
-    def restricted_copy(self, leafsets: Iterable[LeafKey]) -> "InvertedDatabase":
-        """An independent database holding only ``leafsets`` and their rows.
-
-        The sub-database behind the component-sharded search: given a
-        *coreset-closed* leafset set (every coreset reachable from a
-        member has all of its leafsets in the set — exactly what a
-        connected component of the coreset-sharing graph is), the copy
-        behaves identically to the full database restricted to those
-        leafsets: same rows, same coreset frequencies, and a fresh
-        interner whose first-sight ids are the repr-sorted order of the
-        member leafsets — order-isomorphic to the parent's ids
-        restricted to the set, so pair tie-breaks agree.  Mask values,
-        the vertex->bit table and the vertex order are shared (all
-        post-construction mask ops are pure).  Epochs restart at zero.
-
-        Raises :class:`MiningError` when the set is not coreset-closed
-        (a merge outside the set could then change these rows' gains).
-        """
-        keep = set(leafsets)
-        db = InvertedDatabase(mask_backend=self._masks)
-        db._vertex_ids = self._vertex_ids
-        db._vertex_bit = self._vertex_bit
-        db._vertex_order_frozen = True
-        rows = db._rows
-        row_freq = db._row_freq
-        cores: Set[CoreKey] = set()
-        for leaf in keep:
-            leaf_cores = self._leaf_to_cores.get(leaf)
-            if leaf_cores is None:
-                raise MiningError(
-                    f"leafset {set(leaf)} not present in the database"
-                )
-            db._leaf_to_cores[leaf] = dict(leaf_cores)
-            db._leaf_union[leaf] = self._leaf_union[leaf]
-            cores.update(leaf_cores)
-            for core in leaf_cores:
-                key = (core, leaf)
-                rows[key] = self._rows[key]
-                row_freq[key] = self._row_freq[key]
-        for core in cores:
-            members = self._core_to_leaves[core]
-            if not members <= keep:
-                raise MiningError(
-                    "restricted_copy requires a coreset-closed leafset set: "
-                    f"coreset {set(core)} has leafsets outside it"
-                )
-            db._core_to_leaves[core] = set(members)
-            db._core_freq[core] = self._core_freq[core]
-        ordered = sorted(db._leaf_to_cores, key=_key_of)
-        db._interner.intern_all(ordered)
-        intern = db._interner.intern
-        db._core_leaf_ids = {
-            core: sorted(intern(leaf) for leaf in leaves)
-            for core, leaves in db._core_to_leaves.items()
-        }
-        return db
-
     def __repr__(self) -> str:
         return (
             f"InvertedDatabase(rows={len(self._rows)}, "

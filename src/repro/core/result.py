@@ -60,11 +60,6 @@ class CSPMResult:
     core_table: CoreCodeTable
     inverted_db: Optional[InvertedDatabase] = field(default=None, repr=False)
     config: Optional[CSPMConfig] = None
-    #: Supervised-runtime failure telemetry (per-site retry counts,
-    #: degraded-task lists, the active fault plan), populated only when
-    #: a supervised pool actually ran — ``None`` for serial execution,
-    #: which keeps schema-v1 documents byte-identical.
-    runtime: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         # A None final_dl means "compute on demand": remove the
@@ -200,8 +195,6 @@ class CSPMResult:
             "standard_table": self.standard_table.to_dict(),
             "core_table": self.core_table.to_dict(),
         }
-        if self.runtime is not None:
-            document["runtime"] = self.runtime
         return document
 
     @classmethod
@@ -222,7 +215,6 @@ class CSPMResult:
             core_table=CoreCodeTable.from_dict(document["core_table"]),
             inverted_db=None,
             config=None if config is None else CSPMConfig.from_dict(config),
-            runtime=document.get("runtime"),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -38,8 +38,13 @@ def to_json_dict(graph: AttributedGraph) -> dict:
 def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph:
     """Rebuild a graph from :func:`to_json_dict` output.
 
-    JSON object keys are strings; when ``int_vertices`` is true, keys of
-    the ``attributes`` mapping are parsed back to ints when possible.
+    JSON object keys are strings, so a key of the ``attributes`` mapping
+    resolves to the vertex that ``vertices``/``edges`` name with that
+    string form (``"1"`` is the vertex ``1`` when the edges say ``1``,
+    and the vertex ``"1"`` when they say ``"1"``).  A document naming
+    two vertices with one string form (``1`` and ``"1"``) is ambiguous
+    and rejected.  A key naming no such vertex adds one; when
+    ``int_vertices`` is true it is parsed to an int when possible.
 
     Malformed input raises :class:`GraphError` naming the JSON path of
     the first offending entry (``vertices[0]``, ``edges[3]``,
@@ -50,15 +55,6 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
     would merge with ``1``) and a mixture of strings with numbers
     (which cannot be ranked against each other) are rejected.
     """
-
-    def parse(key: str):
-        if int_vertices:
-            try:
-                return int(key)
-            except (TypeError, ValueError):
-                return key
-        return key
-
     if not isinstance(document, dict):
         raise GraphError(
             f"graph JSON must be an object, got {type(document).__name__}"
@@ -86,13 +82,14 @@ def from_json_dict(document: dict, int_vertices: bool = True) -> AttributedGraph
             add_edge(u, v)
     except (TypeError, ValueError, GraphError):
         raise _edge_error(edges) from None
+    resolve = _key_resolver(graph, int_vertices)
     for key, values in attributes.items():
         if type(values) is not list:
             raise GraphError(
                 f"attributes[{json.dumps(key)}]: values must be a list, "
                 f"got {values!r}"
             )
-        vertex = parse(key)
+        vertex = resolve(key)
         if vertex not in graph:
             graph.add_vertex(vertex)
         try:
@@ -124,6 +121,53 @@ def _edge_error(edges: list) -> GraphError:
             continue
         return GraphError(f"edges[{index}]: {problem}, got {edge!r}")
     return GraphError("edges: malformed edge list")
+
+
+def _key_resolver(graph: AttributedGraph, int_vertices: bool):
+    """The function mapping an ``attributes`` key to the vertex it names.
+
+    A key names the vertex of ``graph`` whose string form it is.  Int
+    ids, the bulk of a large document, are found by parsing the key;
+    the other ids (strings, floats) through a table of their string
+    forms.  Two ids with one string form (``1`` and ``"1"``) raise
+    :class:`GraphError`.  A key naming no vertex is parsed to an int
+    when ``int_vertices`` is true and possible.
+    """
+    others = [vertex for vertex in graph if type(vertex) is not int]
+    named = dict(zip(map(str, others), others))
+    if len(named) < len(others) or (
+        0 < len(others) < graph.num_vertices
+        and not named.keys().isdisjoint(
+            str(vertex) for vertex in graph if type(vertex) is int
+        )
+    ):
+        raise _ambiguous_error(graph)
+
+    def resolve(key: str):
+        if key in named:
+            return named[key]
+        try:
+            number = int(key)
+        except ValueError:
+            return key
+        return number if int_vertices or number in graph else key
+
+    return resolve
+
+
+def _ambiguous_error(graph: AttributedGraph) -> GraphError:
+    """The error for the first two vertices of ``graph`` that share a
+    string form, and hence an ``attributes`` key."""
+    seen = {}
+    for vertex in graph:
+        other = seen.setdefault(str(vertex), vertex)
+        if other is not vertex:
+            return GraphError(
+                f"vertices {other!r} and {vertex!r} share the attributes "
+                f"key {json.dumps(str(vertex))}; vertex ids must differ "
+                f"as strings"
+            )
+    return GraphError("vertices: ids must differ as strings")
 
 
 def _value_error(attributes: dict) -> GraphError:

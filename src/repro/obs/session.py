@@ -15,9 +15,9 @@ Activation is a per-process stack::
 ``MiningPipeline.run_context`` activates the config-selected session
 around its stages, so deep code (the inverted-database builder, the
 searches, the supervisor) reaches the live session through
-:func:`current` without signature churn.  Worker processes build their
-own session (:meth:`Observation.for_worker`) and ship the closed span
-buffer home inside their ordinary result payload.
+:func:`current` without signature churn.  A ``fit_many`` worker
+process runs the pipeline under its config's own session and ships the
+closed span buffer home inside its ordinary result payload.
 """
 
 from __future__ import annotations
@@ -87,16 +87,6 @@ class Observation:
             progress=bool(getattr(config, "progress", False)),
             stream=stream,
         )
-
-    @classmethod
-    def for_worker(cls, trace: bool) -> "Observation":
-        """A worker-process session: span capture only.
-
-        Metrics and progress stay parent-side (the parent re-emits
-        from the shipped results); the worker just needs a buffer whose
-        closed spans ride home in the result payload.
-        """
-        return cls.create(trace=trace)
 
     def __repr__(self) -> str:
         flags = [

@@ -4,8 +4,8 @@ A :class:`SpanTracer` records *closed* spans into a flat per-process
 buffer — each span is one picklable tuple ``(name, start, end, depth,
 attrs_json)`` — plus instant events ``(name, ts, depth, attrs_json)``.
 Worker processes run their own tracer, ship the buffer back through
-the supervisor's ordinary result path (the tuples satisfy the FRK002
-payload contract), and the parent *adopts* each shipped buffer into a
+the supervisor's ordinary result path (plain picklable tuples), and
+the parent *adopts* each shipped buffer into a
 named lane, offset-aligned so the worker's last span ends at the
 parent-clock instant the result was harvested.  The merged timeline
 exports two ways:
@@ -32,7 +32,7 @@ from repro.obs import clock
 
 #: One closed span: ``(name, start, end, depth, attrs_json)``.  The
 #: shape is deliberately a tuple of str/float/int so a worker's buffer
-#: can ride inside FRK002-checked result payloads unchanged.
+#: can ride inside result payloads unchanged.
 SpanRecord = Tuple[str, float, float, int, str]
 
 #: One instant event: ``(name, ts, depth, attrs_json)``.

@@ -73,27 +73,10 @@ asserted: ``max_construction_seconds`` entries in the bounds file are
 
 Schema v5 adds the search layer: every run records ``search_seconds``
 (the measured search-phase wall-clock — construction is timed
-separately) and, for the CSPM-Partial runs, the execution mode in
-``search`` (``serial``/``sharded``); every series entry records
-``num_components`` and ``largest_component_frac`` — the connected
-components of the coreset-overlap graph, the structural quantity that
-bounds how much the sharded search (:mod:`repro.core.search_shard`)
-can parallelise.  The suite-level ``--search``/``--search-workers``
-flags select the execution for every partial run; the sharded path is
-bit-exact with the serial one, so all counter bounds apply unchanged —
-the CI sharded smoke's gate.
-
-Schema v6 adds the supervised runtime (:mod:`repro.runtime`): the
-document records the suite-level ``fault_plan`` (the deterministic
-injection schedule of a chaos run, ``null`` for normal runs);
-supervised sharded runs record ``retries`` and ``degraded_tasks``.
-Injected failures are recovered by retry or bit-exact in-process
-degradation, so **all counter bounds still apply unchanged under any
-fault plan** — that is the CI chaos-smoke job's gate.
+separately).
 
 Schema v7 adds observability (:mod:`repro.obs`): the suite-level
-``--trace FILE`` records nested spans — including real worker-process
-lanes from the sharded search — into one
+``--trace FILE`` records nested spans into one
 Chrome trace-event file, ``--progress`` streams throttled heartbeats
 to stderr, and ``--metrics FILE`` gives every measured run a *fresh*
 metrics registry whose snapshot (counters/gauges/histograms) is folded
@@ -116,16 +99,19 @@ the failure mode).  The mask backend follows each graph's size (still
 recorded per series entry and run) and the supervisor runs one fixed
 policy.
 
-Output document (``BENCH_cspm.json``, schema v8)::
+Schema v9 drops the component-sharded search and with it every key
+that described it: the top-level search path, its worker count and
+``fault_plan`` (the suite runs no worker pool), each series entry's
+component statistics, and each run's search path, worker count,
+``retries`` and ``degraded_tasks``.
+
+Output document (``BENCH_cspm.json``, schema v9)::
 
     {
-      "schema_version": 8,
+      "schema_version": 9,
       "suite": "cspm-perf",
       "quick": bool,
       "seed": int,
-      "search": "serial",                        # the suite-level search path
-      "search_workers": null,
-      "fault_plan": null,
       "metrics": bool,
       "workloads": [
         {
@@ -136,8 +122,6 @@ Output document (``BENCH_cspm.json``, schema v8)::
               "label": "communities=16",
               "num_vertices": int, "num_leafsets": int,
               "possible_pairs": int,
-              "num_components": int,             # coreset-overlap components
-              "largest_component_frac": float,
               "mask_backend": "bigint",          # resolved for this graph
               "bigint_mask_bytes_estimate": int, # whole-graph-int reference
               "construction_seconds": float,     # BuildInvertedDB wall-clock
@@ -152,8 +136,6 @@ Output document (``BENCH_cspm.json``, schema v8)::
                   "refreshes_skipped": int,
                   "dirty_revalidations": int,
                   "update_scope": "lazy",         # partial runs only
-                  "search": "serial",             # partial runs only
-                  "search_workers": int,          # sharded runs only
                   "iterations": int,
                   "final_dl_bits": float,
                   "mask_backend": "bigint",
@@ -180,10 +162,9 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import SEARCHES, CSPMConfig
+from repro.config import CSPMConfig
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
-from repro.core.search_shard import connected_components, run_sharded
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import community_attributed_graph
 from repro.graphs.attributed_graph import AttributedGraph
@@ -196,9 +177,8 @@ from repro.obs import (
     emit_run_trace,
 )
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
-from repro.runtime.supervisor import RuntimePolicy
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
@@ -318,19 +298,9 @@ def _run_case(
     algorithm: str,
     pair_source: str,
     initial_mask_bytes: int,
-    search: str = "serial",
-    search_workers: Optional[int] = None,
-    policy: Optional[RuntimePolicy] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """One measured search run on a fresh copy of the database.
-
-    ``search`` selects the CSPM-Partial execution: ``sharded`` runs
-    :func:`repro.core.search_shard.run_sharded` (bit-exact with the
-    serial loop, so every recorded counter is identical by contract)
-    under ``policy``'s supervision, recording schema v6's ``retries``/
-    ``degraded_tasks`` when a pool actually ran; ``basic`` runs always
-    stay serial.
 
     ``metrics`` (schema v7) gives this run a fresh
     :class:`~repro.obs.MetricsRegistry` — composed with whatever suite-
@@ -339,7 +309,6 @@ def _run_case(
     bleeds across cases.
     """
     db = db0.copy()
-    report = None
     parent = current()
     registry = MetricsRegistry() if metrics else None
     obs = (
@@ -351,7 +320,6 @@ def _run_case(
         "bench.run",
         algorithm=algorithm,
         pair_source=pair_source,
-        search=search,
     ):
         start = clock.perf_counter()
         if algorithm == "basic":
@@ -359,14 +327,6 @@ def _run_case(
                 db, standard, core, initial_dl_bits=initial_bits,
                 pair_source=pair_source,
             )
-        elif search == "sharded":
-            sharded = run_sharded(
-                db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source, workers=search_workers,
-                policy=policy,
-            )
-            trace = sharded.trace
-            report = sharded.report
         else:
             trace = run_partial(
                 db, standard, core, initial_dl_bits=initial_bits,
@@ -400,12 +360,6 @@ def _run_case(
         # run_partial's default scope — the algorithm string is
         # "cspm-partial/<scope>".
         entry["update_scope"] = trace.algorithm.rsplit("/", 1)[-1]
-        entry["search"] = search
-        if search == "sharded":
-            entry["search_workers"] = search_workers
-    if report is not None:
-        entry["retries"] = report.retries
-        entry["degraded_tasks"] = list(report.degraded_tasks)
     if registry is not None:
         entry["metrics"] = registry.snapshot()
     return entry
@@ -416,23 +370,13 @@ def _measure_size(
     label: str,
     run_basic_too: bool,
     pair_sources: Sequence[str] = ("overlap", "full"),
-    search: str = "serial",
-    search_workers: Optional[int] = None,
     workload: Optional[str] = None,
-    fault_plan: Optional[Any] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """All (algorithm, pair_source) runs for one workload size."""
     db0, standard, core, initial_bits, construction_seconds = _prepare(graph)
-    policy = RuntimePolicy.from_config(CSPMConfig(fault_plan=fault_plan))
     num_leafsets = db0.num_leafsets
     initial_mask_bytes = db0.mask_memory_bytes()
-    # Structural component statistics (schema v5): what bounds the
-    # sharded search's available parallelism on this graph.
-    components = connected_components(db0)
-    largest_component = max(
-        (len(component) for component in components), default=0
-    )
     runs: Dict[str, Dict[str, Any]] = {}
     algorithms = ["partial"] + (["basic"] if run_basic_too else [])
     for algorithm in algorithms:
@@ -445,9 +389,6 @@ def _measure_size(
                 algorithm,
                 pair_source,
                 initial_mask_bytes,
-                search=search,
-                search_workers=search_workers,
-                policy=policy,
                 metrics=metrics,
             )
     entry: Dict[str, Any] = {
@@ -455,10 +396,6 @@ def _measure_size(
         "num_vertices": graph.num_vertices,
         "num_leafsets": num_leafsets,
         "possible_pairs": num_leafsets * (num_leafsets - 1) // 2,
-        "num_components": len(components),
-        "largest_component_frac": round(
-            largest_component / num_leafsets if num_leafsets else 0.0, 6
-        ),
         "mask_backend": db0.mask_backend.name,
         "bigint_mask_bytes_estimate": db0.bigint_mask_bytes_estimate(),
         "construction_seconds": round(construction_seconds, 6),
@@ -570,9 +507,6 @@ def run_suite(
     seed: int = 0,
     log=None,
     only: Optional[Sequence[str]] = None,
-    search: str = "serial",
-    search_workers: Optional[int] = None,
-    fault_plan: Optional[Any] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
     """Run the workloads and return the ``BENCH_cspm.json`` document.
@@ -582,19 +516,11 @@ def run_suite(
     and progress heartbeats are *session-scoped* instead — activate an
     :class:`repro.obs.Observation` around this call (as
     :func:`execute` does for ``--trace``/``--progress``) and every
-    stage and worker pool records into it.
+    stage records into it.
 
     ``only`` restricts the run to the named workload families (see
     ``WORKLOAD_NAMES``); unknown names raise ``ValueError`` so CLI
     typos fail loudly instead of silently measuring nothing.
-    ``search``/``search_workers`` select the CSPM-Partial execution
-    (schema v5): the component-sharded path stitches a bit-exact
-    serial-equivalent trace, so the same counter bounds gate it too.
-    ``fault_plan`` (schema v6; a
-    :class:`~repro.runtime.faults.FaultPlan` or its mapping/JSON/path
-    spellings) is injected into every worker pool the suite spins up;
-    injected failures recover by retry or bit-exact degradation, so
-    the bounds still apply (the CI chaos smoke's gate).
     """
     if only:
         unknown = sorted(set(only) - set(WORKLOAD_NAMES))
@@ -602,16 +528,6 @@ def run_suite(
             raise ValueError(
                 f"unknown workload(s) {unknown}; available: {list(WORKLOAD_NAMES)}"
             )
-    if search not in SEARCHES:
-        raise ValueError(
-            f"unknown search {search!r}; available: {list(SEARCHES)}"
-        )
-    # Normalise the plan once (CSPMConfig would coerce anyway; doing it
-    # here surfaces a malformed plan before any measurement runs, and
-    # gives the document a serialisable copy to record).
-    from repro.runtime.faults import FaultPlan
-
-    plan = FaultPlan.coerce(fault_plan)
 
     def wanted(name: str) -> bool:
         return not only or name in only
@@ -624,10 +540,7 @@ def run_suite(
         return _measure_size(
             graph,
             label,
-            search=search,
-            search_workers=search_workers,
             workload=workload,
-            fault_plan=plan,
             metrics=metrics,
             **kwargs,
         )
@@ -721,9 +634,6 @@ def run_suite(
         "suite": "cspm-perf",
         "quick": quick,
         "seed": seed,
-        "search": search,
-        "search_workers": search_workers,
-        "fault_plan": plan.to_dict() if plan is not None else None,
         "metrics": metrics,
         "workloads": workloads,
     }
@@ -998,40 +908,13 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "entries of the output file for other families are kept",
     )
     parser.add_argument(
-        "--search",
-        dest="search",
-        choices=SEARCHES,
-        default="serial",
-        help="CSPM-Partial execution for every workload; the component-"
-        "sharded path stitches a bit-exact serial-equivalent trace, so "
-        "counter bounds apply unchanged (the CI sharded smoke's gate)",
-    )
-    parser.add_argument(
-        "--search-workers",
-        dest="search_workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --search sharded "
-        "(default: one per CPU)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        dest="fault_plan",
-        default=None,
-        metavar="JSON|FILE",
-        help="deterministic fault-injection plan (inline JSON or a path "
-        "to a JSON file) applied to every worker pool; counter bounds "
-        "apply unchanged under any plan (the CI chaos smoke's gate)",
-    )
-    parser.add_argument(
         "--trace",
         dest="trace",
         default=None,
         metavar="FILE",
         help="record observability spans for every measured run — "
-        "pipeline stages, worker pools, real worker-process lanes "
-        "(repro.obs) — into one Chrome trace-event file (NDJSON when "
+        "pipeline stages and search runs (repro.obs) — into one "
+        "Chrome trace-event file (NDJSON when "
         "FILE ends with '.ndjson'); recording never changes counters",
     )
     parser.add_argument(
@@ -1091,9 +974,8 @@ def execute(args) -> int:
         print(format_workload_catalog())
         return 0
     # The suite-level observation session: one tracer/progress stream
-    # shared by every measured run (worker spans fold into its
-    # timeline); per-run metric registries are created inside
-    # _run_case so snapshots stay per-case.
+    # shared by every measured run; per-run metric registries are
+    # created inside _run_case so snapshots stay per-case.
     obs = Observation.create(
         trace=getattr(args, "trace", None) is not None,
         progress=bool(getattr(args, "progress", False)),
@@ -1104,9 +986,6 @@ def execute(args) -> int:
             seed=args.seed,
             log=print,
             only=args.workloads,
-            search=args.search,
-            search_workers=args.search_workers,
-            fault_plan=getattr(args, "fault_plan", None),
             metrics=getattr(args, "metrics", None) is not None,
         )
     if getattr(args, "trace", None):

@@ -61,7 +61,6 @@ from repro.core.result import CSPMResult
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import Observation, activate, clock, current, emit_run_trace
-from repro.runtime.supervisor import RuntimePolicy
 
 Value = Hashable
 Vertex = Hashable
@@ -261,13 +260,8 @@ class Search(PipelineStage):
     whose floats must be hash-seed- and accumulation-order-independent);
     tests validate the incremental totals against that recompute.
 
-    ``config.search="sharded"`` routes uncapped partial runs through
-    the component-sharded parallel search
-    (:mod:`repro.core.search_shard`) — bit-identical trace and result,
-    with the search wall-clock and component stats recorded in
-    ``context.extras`` (``search_seconds``, ``num_components``,
-    ``largest_component_frac``).  Runs the sharded path cannot express
-    (basic method, ``max_iterations`` caps) fall back to serial.
+    The search wall-clock is recorded in
+    ``context.extras["search_seconds"]``.
     """
 
     def __init__(self, pair_source: str = "overlap") -> None:
@@ -293,7 +287,6 @@ class Search(PipelineStage):
         with obs.span(
             "mine.search",
             method=config.method,
-            search=config.search,
             scope=config.partial_update_scope,
         ):
             self._dispatch(context, config, initial_bits)
@@ -328,29 +321,6 @@ class Search(PipelineStage):
                 initial_dl_bits=initial_bits,
                 pair_source=self.pair_source,
             )
-        elif config.search == "sharded" and config.max_iterations is None:
-            from repro.core.search_shard import run_sharded
-
-            sharded = run_sharded(
-                context.inverted_db,
-                context.standard_table,
-                context.core_table,
-                include_model_cost=config.include_model_cost,
-                update_scope=config.partial_update_scope,
-                initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
-                workers=config.search_workers,
-                policy=RuntimePolicy.from_config(config),
-            )
-            context.trace = sharded.trace
-            context.extras["num_components"] = sharded.num_components
-            context.extras["largest_component_frac"] = (
-                sharded.largest_component_frac
-            )
-            if sharded.report is not None:
-                context.extras.setdefault("runtime", {})["search"] = (
-                    sharded.report.to_dict()
-                )
         else:
             context.trace = run_partial(
                 context.inverted_db,
@@ -405,15 +375,6 @@ class RankAndFilter(PipelineStage):
         if config.top_k is not None:
             astars = astars[: config.top_k]
         context.astars = astars
-        runtime = context.extras.get("runtime")
-        if runtime is not None and "fault_plan" not in runtime:
-            # Record which injection schedule (if any) the supervised
-            # pools ran under, so a chaos run's telemetry is
-            # self-describing.
-            from repro.runtime.faults import resolve_plan
-
-            plan = resolve_plan(config.fault_plan)
-            runtime["fault_plan"] = plan.to_dict() if plan is not None else None
         context.result = CSPMResult(
             astars=astars,
             trace=context.trace,
@@ -423,7 +384,6 @@ class RankAndFilter(PipelineStage):
             core_table=context.core_table,
             inverted_db=db,
             config=config,
-            runtime=runtime,
         )
 
 

@@ -1,11 +1,10 @@
 """Supervised parallel runtime: fault injection, retries, degradation.
 
-:mod:`repro.runtime.supervisor` wraps every multiprocess pool in the
-repo (sharded search, batch ``fit_many``)
-with per-task timeouts, bounded deterministic retries, and bit-exact
-degrade-to-serial fallback; :mod:`repro.runtime.faults` is the
-deterministic fault-injection layer that tests and the CI chaos job
-drive.  See ``docs/RESILIENCE.md``.
+:mod:`repro.runtime.supervisor` wraps the repo's one multiprocess
+pool (batch ``fit_many``) with per-task timeouts, bounded deterministic
+retries, and bit-exact degrade-to-serial fallback;
+:mod:`repro.runtime.faults` is the deterministic fault-injection layer
+that tests and the CI chaos job drive.  See ``docs/RESILIENCE.md``.
 """
 
 from repro.runtime.faults import (

@@ -1,8 +1,8 @@
-"""Supervised execution of the repo's multiprocess pools.
+"""Supervised execution of the repo's multiprocess pool.
 
-:func:`run_supervised` wraps the fork/spawn ``ProcessPoolExecutor``
-usage in ``core/search_shard.py`` and ``batch.py`` with the failure
-handling a long-lived mining service needs:
+:func:`run_supervised` wraps the ``ProcessPoolExecutor`` usage in
+``batch.py`` with the failure handling a long-lived mining service
+needs:
 
 * **per-task timeouts** — every ``Future.result`` call carries a
   deadline (RES001), so a hung worker becomes a retryable event
@@ -17,10 +17,9 @@ handling a long-lived mining service needs:
   of *which* task killed it, so the whole unfinished set is charged an
   attempt and re-run on a fresh pool;
 * **graceful degradation** — a task that exhausts its retry budget is
-  re-executed *in the parent process* with the already-inherited
-  worker state.  Because every parallel path here is pinned bit-exact
-  to its serial twin, the degraded result is not "close enough", it is
-  ``==`` the no-fault serial run.
+  re-executed *in the parent process*.  Because the parallel path is
+  pinned bit-exact to its serial twin, the degraded result is not
+  "close enough", it is ``==`` the no-fault serial run.
 
 The policy is fixed — a 300 s deadline per task, 2 retries, then
 in-process degradation — and is not configurable from
@@ -111,8 +110,7 @@ class SiteReport:
     ``retries`` counts re-submissions (an attempt beyond a task's
     first); ``degraded_tasks`` lists the task indexes re-executed
     in-process; ``failures`` records one human-readable line per
-    observed failure event (kept small — it feeds ``mine --json`` and
-    the perf suite, not a log aggregator).
+    observed failure event.
     """
 
     site: str
@@ -122,17 +120,6 @@ class SiteReport:
     failures: List[str] = field(default_factory=list)
     rounds: int = 0
     seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "tasks": self.tasks,
-            "retries": self.retries,
-            "degraded_tasks": list(self.degraded_tasks),
-            "failures": list(self.failures),
-            "rounds": self.rounds,
-            "seconds": self.seconds,
-        }
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -161,9 +148,9 @@ def _degrade(
 ) -> Any:
     """Re-execute one exhausted task in the parent process.
 
-    No fault injection, no pickling, the parent's own worker state:
-    this is literally the serial code path, which is what makes the
-    bit-exactness guarantee hold under arbitrary worker failure.
+    No fault injection, no pickling: this is literally the serial code
+    path, which is what makes the bit-exactness guarantee hold under
+    arbitrary worker failure.
     """
     report.degraded_tasks.append(index)
     return worker(job)
@@ -176,16 +163,12 @@ def run_supervised(
     policy: Optional[RuntimePolicy],
     *,
     max_workers: int,
-    mp_context: Any = None,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
     expect_type: Optional[type] = None,
 ) -> Tuple[List[Any], SiteReport]:
     """Run ``jobs`` through ``worker`` in a supervised process pool.
 
     Returns ``(results, report)`` with ``results[i]`` the result of
-    ``worker(jobs[i])`` — order is the caller's submission order, which
-    is what the bit-exact merge/stitch code depends on.  ``worker``
+    ``worker(jobs[i])`` — order is the caller's submission order.  ``worker``
     must be a module-level callable (FRK001) taking one argument.
     ``expect_type``, when given, is the result's required type; a
     mismatched or :class:`CorruptResult` payload is treated as a task
@@ -258,12 +241,7 @@ def run_supervised(
             round=report.rounds,
             tasks=len(pending),
         ), ProcessPoolExecutor(
-            max_workers=max(1, min(max_workers, len(pending))),
-            mp_context=mp_context,
-            # Forwarded verbatim; each call site passes a module-level
-            # function, checked by FRK001 where the callable is named.
-            initializer=initializer,  # repro: noqa[FRK001]
-            initargs=initargs,
+            max_workers=max(1, min(max_workers, len(pending)))
         ) as pool:
             futures = []
             for index in pending:

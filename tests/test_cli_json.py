@@ -144,6 +144,40 @@ class TestMalformedGraphJson:
     """Malformed graph documents stop ``mine`` at the input boundary."""
 
     @pytest.mark.parametrize(
+        "ids", [["1", "2", "3"], [1.5, 2.5, 3.5]], ids=["strings", "floats"]
+    )
+    def test_id_spellings_mine_like_int_ids(self, tmp_path, capsys, ids):
+        outputs = []
+        for a, b, c in (ids, [1, 2, 3]):
+            document = {
+                "edges": [[a, b], [b, c]],
+                "attributes": {
+                    str(a): ["x", "y"],
+                    str(b): ["x", "y"],
+                    str(c): ["x"],
+                },
+            }
+            graph_file = tmp_path / "graph.json"
+            graph_file.write_text(json.dumps(document))
+            assert main(["mine", str(graph_file), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["trace"]["iterations"]
+
+    def test_ids_sharing_a_string_form_rejected(self, tmp_path, capsys):
+        graph_file = tmp_path / "bad.json"
+        graph_file.write_text(
+            json.dumps({"edges": [[1, 2], ["1", 3]], "attributes": {"1": ["a"]}})
+        )
+        assert main(["mine", str(graph_file), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vertices 1 and '1' share the attributes key \"1\"; "
+            "vertex ids must differ as strings\n"
+        )
+
+    @pytest.mark.parametrize(
         "document, path",
         [
             ({"vertices": [[1]]}, "vertices[0]"),

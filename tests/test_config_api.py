@@ -53,6 +53,7 @@ class TestValidation:
             {"worker_timeout": 5.0},
             {"max_task_retries": 1},
             {"on_worker_failure": "raise"},
+            {"search_workers": 2},
         ],
         ids=lambda document: next(iter(document)),
     )
@@ -64,8 +65,14 @@ class TestValidation:
     def test_construction_fault_site_rejected(self):
         from repro.runtime.faults import FaultEvent
 
-        with pytest.raises(ConfigError, match=r"\('search', 'batch'\)"):
+        with pytest.raises(ConfigError, match=r"\('batch',\)"):
             FaultEvent(site="construction", index=0, kind="crash")
+
+    def test_search_names_the_allowed_value(self):
+        with pytest.raises(ConfigError, match=r"\('serial',\)"):
+            CSPMConfig(search="sharded")
+        assert "search" not in CSPMConfig().to_dict()
+        assert CSPMConfig.from_dict({"search": "serial"}) == CSPMConfig()
 
     def test_config_error_is_a_mining_error(self):
         with pytest.raises(MiningError):
@@ -136,7 +143,7 @@ class TestFacadeShim:
             CSPM(config=CSPMConfig(), mask_backnd="auto")
 
     def test_every_field_reads_through(self):
-        miner = CSPM(top_k=3, search="sharded", search_workers=2)
+        miner = CSPM(top_k=3, partial_update_scope="related")
         for field in dataclasses.fields(CSPMConfig):
             assert getattr(miner, field.name) == getattr(
                 miner.config, field.name

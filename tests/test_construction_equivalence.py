@@ -238,6 +238,9 @@ class TestConfigAndFacade:
             ["--worker-timeout", "5"],
             ["--max-task-retries", "1"],
             ["--on-worker-failure", "raise"],
+            ["--search", "sharded"],
+            ["--search-workers", "2"],
+            ["--fault-plan", '{"events": []}'],
         ],
         ids=lambda flags: flags[0],
     )

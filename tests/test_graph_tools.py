@@ -185,6 +185,85 @@ class TestJsonBoundary:
         assert graph.attributes_of(1) == frozenset({3, 2.5})
         assert graph.attributes_of(2) == frozenset({3})
 
+    def test_numeric_looking_string_ids_keep_their_attributes(self):
+        document = {
+            "edges": [["1", "2"], ["2", "3"]],
+            "attributes": {"1": ["x", "y"], "2": ["x", "y"], "3": ["x"]},
+        }
+        graph = from_json_dict(document)
+        assert sorted(graph.vertices()) == ["1", "2", "3"]
+        assert graph.attributes_of("1") == frozenset({"x", "y"})
+        assert graph.attributes_of("3") == frozenset({"x"})
+
+    def test_float_ids_keep_their_attributes(self):
+        graph = from_json_dict(
+            {"edges": [[1.5, 2]], "attributes": {"1.5": ["x"], "2": ["y"]}}
+        )
+        assert sorted(graph.vertices()) == [1.5, 2]
+        assert graph.attributes_of(1.5) == frozenset({"x"})
+        assert graph.attributes_of(2) == frozenset({"y"})
+
+    @pytest.mark.parametrize(
+        "document, int_vertices, expected",
+        [
+            ({"edges": [[1, 2]], "attributes": {"1": ["a"]}}, True, 1),
+            ({"edges": [[1, 2]], "attributes": {"1": ["a"]}}, False, 1),
+            ({"edges": [["1", 2]], "attributes": {"1": ["a"]}}, True, "1"),
+            ({"edges": [[-3, 2]], "attributes": {"-3": ["a"]}}, True, -3),
+            ({"edges": [[0.5, 2]], "attributes": {"0.5": ["a"]}}, False, 0.5),
+            ({"vertices": ["b", 2], "attributes": {"b": ["a"]}}, True, "b"),
+            ({"edges": [[1, 2]], "attributes": {"7": ["a"]}}, True, 7),
+            ({"edges": [[1, 2]], "attributes": {"7": ["a"]}}, False, "7"),
+        ],
+        ids=[
+            "int",
+            "int-keeping-string-keys",
+            "digit-string",
+            "negative-int",
+            "float",
+            "string-among-ints",
+            "unnamed-parsed",
+            "unnamed-kept",
+        ],
+    )
+    def test_attribute_key_resolution(self, document, int_vertices, expected):
+        graph = from_json_dict(document, int_vertices=int_vertices)
+        owners = [v for v in graph if graph.attributes_of(v) == {"a"}]
+        assert owners == [expected]
+        assert type(owners[0]) is type(expected)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"vertices": [1, "1"]},
+            {"edges": [[1, 2], ["2", 3]], "attributes": {"2": ["a"]}},
+            {"vertices": [1.5, "1.5"]},
+        ],
+        ids=["vertices", "edges", "float"],
+    )
+    def test_ids_sharing_a_string_form_rejected(self, document):
+        with pytest.raises(GraphError, match="share the attributes key"):
+            from_json_dict(document)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [["1", "2", "3"], [1.5, 2, "x"], ["1", 2, "b"]],
+        ids=["digit-strings", "float-int-string", "digit-string-int"],
+    )
+    def test_mixed_ids_round_trip(self, tmp_path, ids):
+        from repro.graphs.attributed_graph import AttributedGraph
+
+        graph = AttributedGraph()
+        graph.add_edge(ids[0], ids[1])
+        graph.add_edge(ids[1], ids[2])
+        for index, vertex in enumerate(ids):
+            graph.set_attributes(vertex, ["a", f"v{index}"])
+        path = tmp_path / "graph.json"
+        save_json(graph, path)
+        loaded = load_json(path)
+        assert loaded == graph
+        assert loaded.num_vertices == 3
+
     def test_string_keys_kept_without_int_vertices(self):
         document = {"edges": [["1", "2"]], "attributes": {"1": ["a"]}}
         graph = from_json_dict(document, int_vertices=False)

@@ -22,13 +22,15 @@ from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import UPDATE_SCOPES, run_partial
 from repro.core.gain import GainEngine
 from repro.core.inverted_db import InvertedDatabase
+from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend
 from repro.core.mdl import description_length
+from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
 
-def setup(graph):
+def setup(graph, mask_backend=None):
     return (
-        InvertedDatabase.from_graph(graph),
+        InvertedDatabase.from_graph(graph, mask_backend=mask_backend),
         StandardCodeTable.from_graph(graph),
         CoreCodeTable.singletons_from_graph(graph),
     )
@@ -49,6 +51,47 @@ def random_graph(seed, num_vertices=50, num_edges=120):
     return graph
 
 
+def multi_component_graph(seed, parts=3):
+    """A disjoint union of planted graphs with disjoint value pools.
+
+    Parts share no values, hence no coresets, hence the coreset-overlap
+    graph splits into (at least) ``parts`` components: the search
+    interleaves merges from independent neighbourhoods through one
+    queue.
+    """
+    graph = AttributedGraph()
+    for part in range(parts):
+        sub, _ = planted_astar_graph(
+            40,
+            90,
+            [
+                PlantedAStar(
+                    f"p{part}", (f"q{part}", f"r{part}"), strength=0.9
+                )
+            ],
+            noise_values=(f"n{part}a", f"n{part}b"),
+            noise_rate=0.25,
+            seed=seed * 7 + part,
+        )
+        offset = part * 10_000
+        for vertex in sub.vertices():
+            graph.add_vertex(vertex + offset)
+            graph.set_attributes(vertex + offset, sub.attributes_of(vertex))
+        for left, right in sub.edges():
+            graph.add_edge(left + offset, right + offset)
+    return graph
+
+
+#: Equivalence inputs: connected planted graphs (ids ``0``..``7``) and
+#: disjoint unions whose coreset-overlap graph has several components.
+EQUIVALENCE_GRAPHS = [
+    pytest.param(random_graph, seed, id=str(seed)) for seed in range(8)
+] + [
+    pytest.param(multi_component_graph, seed, id=f"disjoint-{seed}")
+    for seed in range(8)
+]
+
+
 class TestScopeRegistry:
     def test_lazy_is_a_scope_and_the_default(self):
         from repro.config import CSPMConfig
@@ -66,9 +109,9 @@ class TestScopeRegistry:
 class TestBitExactEquivalence:
     """Lazy must reproduce Basic's and exhaustive's model bit-for-bit."""
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_lazy_matches_basic_and_exhaustive(self, seed):
-        graph = random_graph(seed)
+    @pytest.mark.parametrize("make_graph, seed", EQUIVALENCE_GRAPHS)
+    def test_lazy_matches_basic_and_exhaustive(self, make_graph, seed):
+        graph = make_graph(seed)
         db_basic, standard, core = setup(graph)
         trace_basic = run_basic(db_basic, standard, core)
         db_lazy, _, _ = setup(graph)
@@ -84,15 +127,14 @@ class TestBitExactEquivalence:
             t.merged_pair for t in trace_basic.iterations
         ]
         # ... with bit-identical incremental DL accounting vs the
-        # exhaustive scope (clean-head merges reuse stored breakdowns,
-        # so every subtracted float must be the very same one).
-        assert trace_lazy.final_dl_bits == trace_exh.final_dl_bits
-        assert [t.total_dl_bits for t in trace_lazy.iterations] == [
-            t.total_dl_bits for t in trace_exh.iterations
-        ]
-        assert trace_lazy.final_dl_bits == pytest.approx(
-            trace_basic.final_dl_bits, abs=1e-9
-        )
+        # exhaustive scope and CSPM-Basic (clean-head merges reuse
+        # stored breakdowns, so every subtracted float must be the very
+        # same one).
+        for other in (trace_exh, trace_basic):
+            assert trace_lazy.final_dl_bits == other.final_dl_bits
+            assert [t.total_dl_bits for t in trace_lazy.iterations] == [
+                t.total_dl_bits for t in other.iterations
+            ]
 
     def test_lazy_tracked_dl_matches_reference_recompute(self):
         graph = random_graph(3)
@@ -110,6 +152,59 @@ class TestBitExactEquivalence:
         trace_f = run_partial(db_f, standard, core, pair_source="full")
         assert db_o.snapshot() == db_f.snapshot()
         assert trace_o.final_dl_bits == trace_f.final_dl_bits
+
+
+class TestDisjointUnions:
+    """Multi-component inputs: merges from independent coreset-overlap
+    components interleave through one queue, and every engine choice
+    must still produce the identical, lossless model."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("scope", UPDATE_SCOPES)
+    def test_every_scope_is_lossless_and_backend_independent(
+        self, scope, seed
+    ):
+        graph = multi_component_graph(seed)
+        runs = []
+        for backend in (
+            BigintMaskBackend(),
+            ChunkedMaskBackend(),
+            ChunkedMaskBackend(chunk_bits=64),
+        ):
+            db, standard, core = setup(graph, backend)
+            trace = run_partial(db, standard, core, update_scope=scope)
+            db.validate(graph)
+            runs.append((trace.to_dict(), db.snapshot()))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlap_seeding_matches_the_full_scan(self, seed):
+        # Cross-component pairs share no coreset: the overlap generator
+        # never evaluates them, the full scan evaluates them to zero.
+        graph = multi_component_graph(seed)
+        db_o, standard, core = setup(graph)
+        trace_o = run_partial(db_o, standard, core, pair_source="overlap")
+        db_f, _, _ = setup(graph)
+        trace_f = run_partial(db_f, standard, core, pair_source="full")
+        assert db_o.snapshot() == db_f.snapshot()
+        assert [t.merged_pair for t in trace_o.iterations] == [
+            t.merged_pair for t in trace_f.iterations
+        ]
+        assert [t.total_dl_bits for t in trace_o.iterations] == [
+            t.total_dl_bits for t in trace_f.iterations
+        ]
+        assert (
+            trace_o.initial_candidate_gains < trace_f.initial_candidate_gains
+        )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tracked_dl_matches_reference_recompute(self, seed):
+        graph = multi_component_graph(seed)
+        db, standard, core = setup(graph)
+        trace = run_partial(db, standard, core, update_scope="lazy")
+        reference = description_length(db, standard, core).total_bits
+        assert trace.final_dl_bits == pytest.approx(reference, abs=1e-6)
 
 
 VALUES = ["a", "b", "c", "d", "e"]

@@ -50,7 +50,7 @@ class TestMeasureSize:
         assert tiny_entry["runs"]["basic/overlap"]["peak_queue_size"] == 0
 
     def test_schema_version_and_lazy_counters(self, tiny_entry):
-        assert SCHEMA_VERSION == 8
+        assert SCHEMA_VERSION == 9
         partial = tiny_entry["runs"]["partial/overlap"]
         # Partial runs use (and record) the library default scope, and
         # the bound-driven refresh skips at least something on any
@@ -80,46 +80,16 @@ class TestMeasureSize:
         assert "construction_baseline_seconds" not in tiny_entry
 
     def test_schema_v5_search_fields(self, tiny_entry):
-        # Component statistics live on the series entry; the search
-        # wall-clock and mode on every run (mode on partial runs only,
-        # and the worker knob only when sharded).
-        assert tiny_entry["num_components"] >= 1
-        assert 0.0 < tiny_entry["largest_component_frac"] <= 1.0
+        # Every run records its search wall-clock.  Schema v9 dropped
+        # the sharded search's component statistics from the entry and
+        # its mode, worker and supervisor keys from every run.
+        assert not {"num_components", "largest_component_frac"} & set(
+            tiny_entry
+        )
+        dropped = {"search", "search_workers", "retries", "degraded_tasks"}
         for run in tiny_entry["runs"].values():
             assert run["search_seconds"] >= 0.0
-        partial = tiny_entry["runs"]["partial/overlap"]
-        assert partial["search"] == "serial"
-        assert "search_workers" not in partial
-        assert "search" not in tiny_entry["runs"]["basic/overlap"]
-
-    def test_schema_v5_sharded_counters_identical(self):
-        # The sharded path must reproduce the serial counters exactly
-        # -- the property the CI sharded smoke gates on at scale.
-        graph = sparse_scaling_graph(3)
-        serial = _measure_size(graph, "communities=3", run_basic_too=False)
-        sharded = _measure_size(
-            graph,
-            "communities=3",
-            run_basic_too=False,
-            search="sharded",
-            search_workers=2,
-        )
-        run = sharded["runs"]["partial/overlap"]
-        assert run["search"] == "sharded"
-        assert run["search_workers"] == 2
-        volatile = ("wall_seconds", "search_seconds", "search", "search_workers")
-        for name in ("partial/overlap", "partial/full"):
-            left = {
-                k: v
-                for k, v in serial["runs"][name].items()
-                if k not in volatile
-            }
-            right = {
-                k: v
-                for k, v in sharded["runs"][name].items()
-                if k not in volatile
-            }
-            assert left == right
+            assert not dropped & set(run)
 
     def test_recorded_baselines_attach_to_pokec_labels(self):
         from repro.perf.suite import PRE_COLUMNAR_CONSTRUCTION_SECONDS
@@ -224,12 +194,16 @@ class TestWorkloadFilter:
         document = run_suite(quick=True, only=["usflight"])
         assert [w["workload"] for w in document["workloads"]] == ["usflight"]
         assert document["schema_version"] == SCHEMA_VERSION
-        # Schema v8 dropped the suite-level engine and policy keys.
+        # Schema v8 dropped the suite-level engine and policy keys,
+        # schema v9 the search path, its worker count and fault plan.
         dropped = {
             "mask_backend",
             "worker_timeout",
             "max_task_retries",
             "on_worker_failure",
+            "search",
+            "search_workers",
+            "fault_plan",
         }
         assert not dropped & set(document)
 
@@ -645,8 +619,6 @@ class TestAtomicWrite:
             quick=True,
             seed=0,
             workloads=None,
-            search=None,
-            search_workers=None,
             out=str(out),
             check=None,
             list_workloads=False,

@@ -1,7 +1,7 @@
 """The supervised runtime's resilience guarantee, exercised end to end.
 
-Every multiprocess path in this repo is pinned bit-exact to its serial
-twin, so the strongest possible claim is testable and tested here:
+The one multiprocess path in this repo, ``fit_many``'s process pool,
+is pinned bit-exact to its serial twin, so the strongest possible claim is testable and tested here:
 whatever a worker does — crash (``os._exit``), hang past the timeout,
 fail the result pickle, or return a corrupt payload — the supervised
 run still produces the serial-identical result, via retry on a fresh
@@ -9,21 +9,13 @@ pool or in-process degradation.  Faults come from deterministic
 :class:`~repro.runtime.faults.FaultPlan` schedules, so every chaos
 scenario here reproduces exactly.
 
-Covered per site (search components, batch runs): retry-then-succeed
-and degrade-to-serial past the retry budget; the search site
-additionally runs across mask backends.
+Covered at the batch site: retry-then-succeed and degrade-to-serial
+past the retry budget.
 """
-
-import json
 
 import pytest
 
 from repro.config import CSPMConfig
-from repro.core.code_table import CoreCodeTable, StandardCodeTable
-from repro.core.cspm_partial import run_partial
-from repro.core.inverted_db import InvertedDatabase
-from repro.core.masks import ChunkedMaskBackend
-from repro.core.search_shard import run_sharded
 from repro.errors import ConfigError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
@@ -77,35 +69,6 @@ def crash_plan(site, index=0, times=1, kind="crash"):
     )
 
 
-def multi_component_graph(seed, parts=3):
-    """Disjoint planted graphs -> a multi-component overlap graph."""
-    graph = AttributedGraph()
-    for part in range(parts):
-        sub, _ = planted_astar_graph(
-            40,
-            90,
-            [PlantedAStar(f"p{part}", (f"q{part}", f"r{part}"), strength=0.9)],
-            noise_values=(f"n{part}a", f"n{part}b"),
-            noise_rate=0.25,
-            seed=seed * 7 + part,
-        )
-        offset = part * 10_000
-        for vertex in sub.vertices():
-            graph.add_vertex(vertex + offset)
-            graph.set_attributes(vertex + offset, sub.attributes_of(vertex))
-        for left, right in sub.edges():
-            graph.add_edge(left + offset, right + offset)
-    return graph
-
-
-def search_setup(graph, mask_backend=None):
-    return (
-        InvertedDatabase.from_graph(graph, mask_backend=mask_backend),
-        StandardCodeTable.from_graph(graph),
-        CoreCodeTable.singletons_from_graph(graph),
-    )
-
-
 # ----------------------------------------------------------------------
 # FaultPlan / FaultEvent semantics
 # ----------------------------------------------------------------------
@@ -116,21 +79,28 @@ class TestFaultPlan:
         with pytest.raises(ConfigError, match="site"):
             FaultEvent(site="disk", index=0, kind="crash")
         with pytest.raises(ConfigError, match="kind"):
-            FaultEvent(site="search", index=0, kind="gamma-ray")
+            FaultEvent(site="batch", index=0, kind="gamma-ray")
         with pytest.raises(ConfigError, match="index"):
-            FaultEvent(site="search", index=-1, kind="crash")
+            FaultEvent(site="batch", index=-1, kind="crash")
         with pytest.raises(ConfigError, match="times"):
-            FaultEvent(site="search", index=0, kind="crash", times=0)
+            FaultEvent(site="batch", index=0, kind="crash", times=0)
         with pytest.raises(ConfigError, match="hang_seconds"):
-            FaultEvent(site="search", index=0, kind="hang", hang_seconds=0)
+            FaultEvent(site="batch", index=0, kind="hang", hang_seconds=0)
+
+    @pytest.mark.parametrize("site", ["search", "construction"])
+    def test_removed_sites_rejected(self, site):
+        with pytest.raises(ConfigError) as excinfo:
+            FaultEvent(site=site, index=0, kind="crash")
+        assert str(excinfo.value) == (
+            f"fault event site must be one of ('batch',), got {site!r}"
+        )
 
     def test_times_budget_gates_attempts(self):
-        plan = crash_plan("search", index=2, times=2)
-        assert plan.fault_for("search", 2, 0) is not None
-        assert plan.fault_for("search", 2, 1) is not None
-        assert plan.fault_for("search", 2, 2) is None  # budget spent
-        assert plan.fault_for("search", 1, 0) is None  # other index
-        assert plan.fault_for("batch", 2, 0) is None  # other site
+        plan = crash_plan("batch", index=2, times=2)
+        assert plan.fault_for("batch", 2, 0) is not None
+        assert plan.fault_for("batch", 2, 1) is not None
+        assert plan.fault_for("batch", 2, 2) is None  # budget spent
+        assert plan.fault_for("batch", 1, 0) is None  # other index
 
     def test_first_matching_event_wins(self):
         plan = FaultPlan(
@@ -146,10 +116,15 @@ class TestFaultPlan:
         assert FaultPlan.seeded(3) != FaultPlan.seeded(4)
         assert not FaultPlan.seeded(3, rate=0.0)
         full = FaultPlan.seeded(3, rate=1.0, max_index=4)
-        assert len(full.events) == 4 * 2  # every (site, index) pair
+        assert len(full.events) == 4  # every (site, index) pair
+
+    def test_seeded_plans_target_only_the_batch_site(self):
+        plan = FaultPlan.seeded(5, rate=1.0, max_index=6)
+        assert {event.site for event in plan.events} == {"batch"}
+        assert [event.index for event in plan.events] == list(range(6))
 
     def test_round_trip_and_unknown_fields(self):
-        plan = crash_plan("search", times=3)
+        plan = crash_plan("batch", times=3)
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         with pytest.raises(ConfigError, match="unknown fault plan"):
@@ -175,7 +150,7 @@ class TestFaultPlan:
             FaultPlan.coerce(42)
 
     def test_environment_activation_and_precedence(self):
-        plan = crash_plan("search")
+        plan = crash_plan("batch", index=1)
         assert environment_plan({}) is None
         assert environment_plan({ENV_VAR: plan.to_json()}) == plan
         config_plan = crash_plan("batch")
@@ -183,7 +158,7 @@ class TestFaultPlan:
         assert resolve_plan(None, {ENV_VAR: plan.to_json()}) == plan
 
     def test_config_coerces_and_env_reaches_policy(self, monkeypatch):
-        plan = crash_plan("search")
+        plan = crash_plan("batch", index=1)
         config = CSPMConfig(fault_plan=plan.to_dict())
         assert config.fault_plan == plan
         monkeypatch.setenv(ENV_VAR, crash_plan("batch").to_json())
@@ -264,12 +239,12 @@ class TestSupervisor:
 
     def test_backoff_is_deterministic_and_bounded(self):
         values = [
-            backoff_seconds("search", index, attempt)
+            backoff_seconds("batch", index, attempt)
             for index in range(4)
             for attempt in range(6)
         ]
         assert values == [
-            backoff_seconds("search", index, attempt)
+            backoff_seconds("batch", index, attempt)
             for index in range(4)
             for attempt in range(6)
         ]
@@ -282,62 +257,6 @@ class TestSupervisor:
         )
         run_supervised("batch", [7], _double, policy, max_workers=1)
         assert delays == [backoff_seconds("batch", 0, 1)]
-
-
-# ----------------------------------------------------------------------
-# Search site: components killed, stitched trace identical
-# ----------------------------------------------------------------------
-
-
-def assert_search_bit_exact(policy, mask_backend=None, seed=6):
-    graph = multi_component_graph(seed)
-    db_serial, standard, core = search_setup(graph, mask_backend)
-    trace_serial = run_partial(db_serial, standard, core, update_scope="lazy")
-    db_sharded, _, _ = search_setup(graph, mask_backend)
-    sharded = run_sharded(
-        db_sharded,
-        standard,
-        core,
-        update_scope="lazy",
-        workers=2,
-        policy=policy,
-    )
-    assert sharded.trace.to_dict() == trace_serial.to_dict()
-    assert db_sharded.snapshot() == db_serial.snapshot()
-    return sharded.report
-
-
-class TestSearchSite:
-    @pytest.mark.parametrize(
-        "mask_backend", [None, ChunkedMaskBackend()], ids=["None", "chunked"]
-    )
-    def test_killed_component_retries_bit_exact(self, mask_backend):
-        report = assert_search_bit_exact(
-            quiet_policy(fault_plan=crash_plan("search", times=1)),
-            mask_backend=mask_backend,
-        )
-        assert report is not None and report.retries >= 1
-
-    def test_hung_component_times_out_bit_exact(self):
-        report = assert_search_bit_exact(
-            quiet_policy(
-                fault_plan=crash_plan("search", times=1, kind="hang"),
-                worker_timeout=SHORT_TIMEOUT,
-            )
-        )
-        assert any("timed out" in line for line in report.failures)
-
-    @pytest.mark.parametrize(
-        "mask_backend", [None, ChunkedMaskBackend()], ids=["None", "chunked"]
-    )
-    def test_exhausted_component_degrades_bit_exact(self, mask_backend):
-        report = assert_search_bit_exact(
-            quiet_policy(
-                fault_plan=crash_plan("search", times=10), max_task_retries=1
-            ),
-            mask_backend=mask_backend,
-        )
-        assert 0 in report.degraded_tasks
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +310,13 @@ class TestBatchSite:
         )
         assert 0 in report.degraded_tasks
 
+    def test_environment_plan_reaches_the_pool(self, monkeypatch):
+        # REPRO_FAULT_PLAN is the flag-less activation for fit_many,
+        # the one consumer of fault plans.
+        monkeypatch.setenv(ENV_VAR, crash_plan("batch", times=1).to_json())
+        report = assert_batch_bit_exact(CSPMConfig(top_k=15))
+        assert report is not None and report.retries >= 1
+
     def test_mining_exception_is_isolated_not_retried(self):
         """A deterministic per-run exception becomes an error record in
         place — it must not burn pool retries or kill the batch."""
@@ -410,90 +336,3 @@ class TestBatchSite:
         assert batch.report is not None and batch.report.retries == 0
         document = failed.to_dict()
         assert document["error"] == failed.error
-
-
-# ----------------------------------------------------------------------
-# End-to-end: pipeline + CLI telemetry under injected faults
-# ----------------------------------------------------------------------
-
-
-class TestEndToEnd:
-    def test_fit_with_faults_matches_serial_and_reports(self):
-        from repro import CSPM
-
-        graph = multi_component_graph(5)
-        serial = CSPM(partial_update_scope="lazy").fit(graph)
-        plan = crash_plan("search", times=1)
-        supervised = CSPM(
-            partial_update_scope="lazy",
-            search="sharded",
-            search_workers=2,
-            fault_plan=plan,
-        ).fit(graph)
-        assert supervised.astars == serial.astars
-        assert supervised.trace.to_dict() == serial.trace.to_dict()
-        assert supervised.final_dl == serial.final_dl
-        assert serial.runtime is None
-        runtime = supervised.runtime
-        assert runtime["search"]["retries"] >= 1
-        assert runtime["fault_plan"] == plan.to_dict()
-
-    def test_mine_json_surfaces_runtime_telemetry(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.graphs.io import save_json
-
-        path = tmp_path / "graph.json"
-        save_json(multi_component_graph(4), path)
-        plan = crash_plan("search", times=1)
-        assert (
-            main(
-                [
-                    "mine",
-                    str(path),
-                    "--json",
-                    "--search",
-                    "sharded",
-                    "--search-workers",
-                    "2",
-                    "--fault-plan",
-                    plan.to_json(),
-                ]
-            )
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["runtime"]["search"]["retries"] >= 1
-        assert document["runtime"]["fault_plan"] == plan.to_dict()
-        assert document["config"]["fault_plan"] == plan.to_dict()
-
-    def test_cli_exits_nonzero_on_repro_error(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.graphs.io import save_json
-
-        path = tmp_path / "graph.json"
-        save_json(paper_running_example(), path)
-        code = main(
-            ["mine", str(path), "--fault-plan", '{"events": "bogus"}']
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-
-    @pytest.mark.parametrize("command", ["mine", "bench"])
-    def test_cli_rejects_the_removed_construction_site(
-        self, tmp_path, capsys, command
-    ):
-        from repro.cli import main
-        from repro.graphs.io import save_json
-
-        path = tmp_path / "graph.json"
-        save_json(paper_running_example(), path)
-        plan = '{"events": [{"site": "construction", "index": 0, "kind": "crash"}]}'
-        argv = [command, str(path)] if command == "mine" else [command, "--quick"]
-        assert main(argv + ["--fault-plan", plan]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: fault event site must be one of ('search', 'batch'), "
-            "got 'construction'\n"
-        )

@@ -91,6 +91,17 @@ class TestResultRoundTrip:
         back = CSPMResult.from_json(mined.to_json())
         assert back.astars == mined.astars
 
+    def test_legacy_runtime_key_ignored(self, mined):
+        # Documents written while a sharded search existed could carry
+        # supervisor telemetry under "runtime"; they still load, and a
+        # reserialised result drops the key.
+        document = mined.to_dict()
+        assert "runtime" not in document
+        document["runtime"] = {"search": {"retries": 1}, "fault_plan": None}
+        back = CSPMResult.from_dict(document)
+        assert back.astars == mined.astars
+        assert back.to_dict() == mined.to_dict()
+
     def test_restored_result_still_filters_and_summarises(self, mined):
         back = CSPMResult.from_dict(mined.to_dict())
         assert back.summary() == mined.summary()
