@@ -194,8 +194,8 @@ def _add_bench(subparsers) -> None:
     parser = subparsers.add_parser(
         "bench",
         help="run the perf suite and write BENCH_cspm.json",
-        description="Measure overlap-driven vs full-scan candidate "
-        "generation and the lazy-refresh counters on the Fig. 5 / "
+        description="Measure CSPM-Partial's wall-clock, seeding "
+        "reduction and lazy-refresh counters on the Fig. 5 / "
         "Table III synthetic workloads (see repro.perf.suite).  With "
         "--workload, only the named families are re-measured and the "
         "rest of an existing output document is preserved.",

@@ -31,7 +31,7 @@ from repro.runtime.faults import FaultPlan
 
 METHODS: Tuple[str, ...] = ("partial", "basic")
 ENCODERS: Tuple[str, ...] = ("singleton", "slim", "krimp")
-UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "exhaustive", "related")
+UPDATE_SCOPES: Tuple[str, ...] = ("lazy", "related")
 MASK_BACKENDS: Tuple[str, ...] = ("auto",)
 CONSTRUCTIONS: Tuple[str, ...] = ("serial",)
 SEARCHES: Tuple[str, ...] = ("serial",)
@@ -61,11 +61,9 @@ class CSPMConfig:
     partial_update_scope:
         For ``method="partial"``: ``"lazy"`` (default; same merges as
         CSPM-Basic, with stored gains kept as sound upper bounds and
-        revalidated only when a dirty pair reaches the queue head),
-        ``"exhaustive"`` (eager neighbourhood refresh after every
-        merge, also exactly CSPM-Basic's model) or ``"related"`` (the
-        paper's Algorithm 4 rdict heuristic, cheapest but may miss
-        late candidates).
+        revalidated only when a dirty pair reaches the queue head) or
+        ``"related"`` (the paper's Algorithm 4 rdict heuristic,
+        cheapest but may miss late candidates).
     top_k:
         Post-filter: keep only the ``top_k`` best-ranked a-stars in the
         result (``None`` = keep all).  Applied by the RankAndFilter

@@ -133,8 +133,9 @@ def enumerate_pairs(
 
     With an ``interner``, ordering (and hence tie-breaking downstream)
     follows interned ids; without one it falls back to repr order.
-    This is the quadratic full scan — the sparse-aware generator is
-    :func:`repro.core.pairgen.overlap_pairs`.
+    This is the quadratic full scan.  The searches seed from the
+    sparse-aware :func:`repro.core.pairgen.overlap_pairs` instead; this
+    scan is the oracle its tests check it against.
     """
     key = interner.sort_key if interner is not None else leafset_sort_key
     ordered = sorted(leafsets, key=key)

@@ -6,13 +6,13 @@ is deliberately the paper's baseline search loop: its per-iteration
 cost is one gain computation per candidate pair, which is what
 Table III and Fig. 5 measure against CSPM-Partial.
 
-Candidate generation is overlap-driven by default
+Candidate generation is overlap-driven
 (:func:`repro.core.pairgen.overlap_pairs`): only pairs sharing a
 coreset with overlapping positions are generated, since no other pair
-can have positive gain.  ``pair_source="full"`` restores the seed's
-quadratic ``O(|SL|^2)`` all-pairs scan; both sources enumerate in the
-same interned-id order, so the merge sequence (including tie-breaks)
-is provably identical — the equivalence tests assert it.
+can have positive gain.  The generator enumerates in the interned-id
+order of the quadratic all-pairs scan
+(:func:`repro.core.candidates.enumerate_pairs`), so tie-breaks are
+those of Algorithm 2's enumeration.
 
 Rescan restriction
 ------------------
@@ -41,7 +41,7 @@ from repro.core.gain import GainBreakdown, GainEngine
 from repro.core.instrumentation import IterationTrace, RunTrace, merged_pair_record
 from repro.core.inverted_db import InvertedDatabase, MergeOutcome
 from repro.core.mdl import description_length
-from repro.core.pairgen import generate_pairs
+from repro.core.pairgen import overlap_pairs
 from repro.errors import MiningError
 
 GAIN_EPS = 1e-9
@@ -210,20 +210,18 @@ def run_basic(
     include_model_cost: bool = True,
     max_iterations: Optional[int] = None,
     initial_dl_bits: Optional[float] = None,
-    pair_source: str = "overlap",
     rescan: str = "restricted",
 ) -> RunTrace:
     """Run CSPM-Basic to convergence, mutating ``db`` in place.
 
     ``initial_dl_bits`` may carry an already-computed starting
     description length to skip the from-scratch pass over the fresh
-    database.  ``pair_source`` selects the candidate generator
-    (``"overlap"`` default, ``"full"`` reference scan).  ``rescan``
-    selects the per-iteration re-evaluation strategy:
-    ``"restricted"`` (default) re-evaluates only the touched-coreset
-    neighbourhood of the last merge, ``"full"`` is the seed's
-    re-enumerate-everything reference — merge sequences, DL accounting
-    and snapshots are bit-identical, only ``gains_computed`` differs.
+    database.  ``rescan`` selects the per-iteration re-evaluation
+    strategy: ``"restricted"`` (default) re-evaluates only the
+    touched-coreset neighbourhood of the last merge, ``"full"`` is
+    Algorithm 2 literally, re-evaluating every candidate pair each
+    iteration — merge sequences, DL accounting and snapshots are
+    bit-identical, only ``gains_computed`` differs.
     Returns the :class:`RunTrace` with one entry per accepted merge.
     """
     if rescan not in RESCANS:
@@ -245,7 +243,7 @@ def run_basic(
         best_gain = GAIN_EPS
         best_breakdown = None
         if store is None:
-            for leaf_x, leaf_y in generate_pairs(db, pair_source):
+            for leaf_x, leaf_y in overlap_pairs(db):
                 breakdown = engine.gain(leaf_x, leaf_y)
                 gains_computed += 1
                 gain = breakdown.net(include_model_cost)
@@ -255,10 +253,10 @@ def run_basic(
                     best_breakdown = breakdown
         else:
             if outcome is None:
-                # First iteration: seed the store from the full
-                # enumeration — every later iteration only re-touches
+                # First iteration: seed the store from every
+                # candidate pair — every later iteration only re-touches
                 # the merged neighbourhood.
-                for leaf_x, leaf_y in generate_pairs(db, pair_source):
+                for leaf_x, leaf_y in overlap_pairs(db):
                     breakdown = engine.gain(leaf_x, leaf_y)
                     gains_computed += 1
                     gain = breakdown.net(include_model_cost)

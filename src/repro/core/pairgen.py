@@ -3,13 +3,11 @@
 Only leafset pairs whose position sets overlap under a common coreset
 can ever have a positive merge gain: the gain formulas (Eq. 9-15) sum
 over common coresets with non-empty position intersections, and every
-component vanishes when there are none.  The seed nevertheless seeded
-both search variants with the full ``O(|SL|^2)`` pair scan and relied
-on the gain engine to short-circuit the disjoint pairs — paying a gain
-*evaluation* per pair either way.
+component vanishes when there are none.  Both searches therefore seed
+from this module's generator instead of the full ``O(|SL|^2)`` pair
+scan, which would pay a gain *evaluation* for every disjoint pair.
 
-This module turns the observation into the generator itself.  Two
-enumeration strategies produce the identical candidate set:
+Two enumeration strategies produce the identical candidate set:
 
 * **adjacency walk** — enumerate pairs from the per-coreset sorted
   leafset-id lists that :class:`~repro.core.inverted_db.InvertedDatabase`
@@ -33,26 +31,21 @@ so generation cost is ``~min(sum deg^2, |SL|^2)``.
 
 Pairs are returned in ascending interned-id order, the exact order
 :func:`repro.core.candidates.enumerate_pairs` yields under the same
-interner, so greedy tie-breaking is identical to the full scan — the
-randomized equivalence tests in ``tests/test_pairgen.py`` assert
-merge-sequence and DL bit-exactness for both search variants.
+interner, so greedy tie-breaking is identical to the full scan.
+``tests/test_pairgen.py`` pins the generator against that scan: the
+result equals the full scan restricted to pairs whose union masks
+overlap, and every omitted pair has zero gain, on fresh databases and
+after merges, for both enumeration strategies.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, List, Optional
+from typing import List
 
-from repro.core.candidates import LeafsetInterner, Pair
-
-LeafKey = FrozenSet[Hashable]
-
-PAIR_SOURCES = ("overlap", "full")
+from repro.core.candidates import Pair
 
 
-def overlap_pairs(
-    db,
-    interner: Optional[LeafsetInterner] = None,
-) -> List[Pair]:
+def overlap_pairs(db) -> List[Pair]:
     """Candidate pairs that can have positive gain, in canonical order.
 
     Every returned pair shares at least one coreset with overlapping
@@ -61,8 +54,7 @@ def overlap_pairs(
     interner-driven full scan uses — so downstream first-strictly-better
     selection breaks ties identically to ``enumerate_pairs``.
     """
-    if interner is None:
-        interner = db.interner
+    interner = db.interner
     union_of = db.leaf_union_mask
     overlaps = db.mask_backend.union_overlaps
     leaf_of = interner.leafset_of
@@ -117,28 +109,3 @@ def overlap_pairs(
             out.append((leaf_of(id_x), leaf_of(id_y)))
     return out
 
-
-def generate_pairs(
-    db,
-    pair_source: str = "overlap",
-    interner: Optional[LeafsetInterner] = None,
-):
-    """Dispatch between the overlap generator and the full scan.
-
-    ``pair_source`` is ``"overlap"`` (default: sparse-aware generation)
-    or ``"full"`` (the quadratic reference scan, kept for equivalence
-    testing and perf baselines).  Both enumerate in the same
-    interned-id order.
-    """
-    from repro.core.candidates import enumerate_pairs
-    from repro.errors import MiningError
-
-    if pair_source == "overlap":
-        return overlap_pairs(db, interner=interner)
-    if pair_source == "full":
-        return enumerate_pairs(
-            db.leafsets(), interner=interner if interner is not None else db.interner
-        )
-    raise MiningError(
-        f"pair_source must be one of {PAIR_SOURCES}, got {pair_source!r}"
-    )

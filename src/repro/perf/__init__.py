@@ -1,8 +1,7 @@
 """Performance measurement: the ``BENCH_cspm.json`` perf trajectory.
 
-:mod:`repro.perf.suite` runs the Fig. 5 / Table III style synthetic
-workloads across sizes, comparing overlap-driven candidate generation
-against the quadratic full scan, and records wall-clock plus the
+:mod:`repro.perf.suite` runs CSPM-Partial on the Fig. 5 / Table III
+style synthetic workloads across sizes and records wall-clock plus the
 counter series (``initial_candidate_gains``, ``gains_computed``,
 ``peak_queue_size``, and the lazy-refresh counters
 ``refreshes_skipped``/``dirty_revalidations``) that make regressions

@@ -1,11 +1,11 @@
 """The perf-benchmark suite behind ``BENCH_cspm.json``.
 
 The suite reproduces the *shape* of the paper's scaling measurements
-(Fig. 5: gain computations touched per step; Table III: runtime of the
-search variants) on deterministic synthetic workloads, and runs every
-configuration twice — once with the overlap-driven candidate generator
-(:mod:`repro.core.pairgen`) and once with the quadratic full scan — so
-the sparse-aware speedup is measured on otherwise identical code.
+(Fig. 5: gain computations touched per step; Table III: search
+runtime) on deterministic synthetic workloads.  Every series entry
+runs CSPM-Partial once, with the library default (lazy) update scope
+and the overlap-driven candidate generator (:mod:`repro.core.pairgen`);
+the run is keyed ``partial/overlap``.
 
 Workloads
 ---------
@@ -15,15 +15,8 @@ Workloads
     the paper's large real graphs where ``|SL|`` is large but only
     neighbourhood-correlated values ever co-occur.  The series scales
     the number of communities, which scales ``|SL|`` (and hence the
-    quadratic scan) while per-pair work stays flat.  Both search
-    variants run here; this is the workload the acceptance counters
-    are pinned on.
-``dblp`` / ``dblp-trend`` / ``usflight``
-    The Table II dataset analogues (small, dense value universes).
-    These bound the *other* end: when almost every value pair
-    co-occurs, overlap generation must not be slower than the scan it
-    replaces.  CSPM-Partial only, matching how Table III treats the
-    large graphs.
+    quadratic scan) while per-pair work stays flat.  This is the
+    workload the acceptance counters are pinned on.
 ``pokec-sparse``
     The paper-scale workload (schema v3): the sparse community family
     scaled to hundreds of thousands of vertices — the regime the
@@ -32,17 +25,14 @@ Workloads
     the recorded ``bigint_mask_bytes_estimate`` shows gigabytes), so
     the size rule of :mod:`repro.core.masks` puts every member (20,000
     vertices and up) on the sparse ``chunked`` backend.
-    CSPM-Partial/overlap only — the quadratic full scan over ~50k
-    leafsets is exactly the blow-up the overlap generator removes.
 ``pokec-xl``
     True paper scale (schema v4): the same family at the source
     paper's pokec size — 32 000 communities = 800k vertices, and
     64 000 communities = 1.6M vertices for the top member.  Full
-    suite only (the quick/CI flavour skips it); CSPM-Partial/overlap
-    on chunked masks, like ``pokec-sparse``.  This family
-    exists to pin the construction layer: its entries' recorded
-    ``construction_seconds`` are what the columnar batch builder is
-    accountable for.
+    suite only (the quick/CI flavour skips it); chunked masks, like
+    ``pokec-sparse``.  This family exists to pin the construction
+    layer: its entries' recorded ``construction_seconds`` are what the
+    columnar batch builder is accountable for.
 
 Every run records wall-clock and the trace counters
 (``initial_candidate_gains``, ``total_gain_computations``,
@@ -52,10 +42,10 @@ bits) plus — schema v3 — the resolved ``mask_backend`` and
 ``mask_peak_bytes`` (the larger of the mask memory held just after
 construction and at convergence; every series entry also carries the
 ``bigint_mask_bytes_estimate`` reference, so the chunked backends'
-memory reduction is a recorded, assertable ratio).  ``partial`` runs
-use the library default update scope (``lazy``), recorded in the run's
-``update_scope`` field.  Counters are structural — determined by the
-graph, not the machine — so CI asserts regressions on them (``--check
+memory reduction is a recorded, assertable ratio).  The run records
+the library default update scope (``lazy``) in its ``update_scope``
+field.  Counters are structural — determined by the graph, not the
+machine — so CI asserts regressions on them (``--check
 benchmarks/perf_bounds.json``) instead of on flaky wall-clock
 thresholds; wall-clock is recorded for the human-readable trajectory.
 Mask backends are bit-exact interchangeable (the tier-1 equivalence
@@ -105,10 +95,19 @@ that described it: the top-level search path, its worker count and
 component statistics, and each run's search path, worker count,
 ``retries`` and ``degraded_tasks``.
 
-Output document (``BENCH_cspm.json``, schema v9)::
+Schema v10 drops the comparison runs: the ``partial/full``,
+``basic/overlap`` and ``basic/full`` runs, the entry's two wall-clock
+speedup ratios between them, and the ``dblp``, ``dblp-trend`` and
+``usflight`` families, which existed only to time overlap generation
+against the full scan.  ``seeding_gain_reduction`` is now
+``possible_pairs / initial_candidate_gains`` on every entry; the full
+scan seeds exactly one gain per possible pair, so the value is the one
+the full run used to measure.
+
+Output document (``BENCH_cspm.json``, schema v10)::
 
     {
-      "schema_version": 9,
+      "schema_version": 10,
       "suite": "cspm-perf",
       "quick": bool,
       "seed": int,
@@ -135,17 +134,14 @@ Output document (``BENCH_cspm.json``, schema v9)::
                   "peak_queue_size": int,
                   "refreshes_skipped": int,
                   "dirty_revalidations": int,
-                  "update_scope": "lazy",         # partial runs only
+                  "update_scope": "lazy",
                   "iterations": int,
                   "final_dl_bits": float,
                   "mask_backend": "bigint",
                   "mask_peak_bytes": int
-                },
-                "partial/full": {...}, "basic/overlap": {...}, ...
+                }
               },
-              "seeding_gain_reduction": float,   # full/overlap seed gains
-              "partial_wall_speedup": float,     # full/overlap wall
-              "basic_wall_speedup": float|null
+              "seeding_gain_reduction": float    # possible_pairs / seed gains
             }, ...
           ]
         }, ...
@@ -163,9 +159,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import CSPMConfig
-from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
-from repro.datasets import load_dataset
 from repro.datasets.synthetic import community_attributed_graph
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import (
@@ -178,13 +172,10 @@ from repro.obs import (
 )
 from repro.pipeline import BuildInvertedDB, EncodeCoresets, PipelineContext
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 WORKLOAD_NAMES = (
     "sparse-scaling",
-    "dblp",
-    "dblp-trend",
-    "usflight",
     "pokec-sparse",
     "pokec-xl",
 )
@@ -196,12 +187,9 @@ WORKLOAD_NAMES = (
 SPARSE_POOL_SIZE = 6
 SPARSE_COMMUNITY_SIZE = 25
 
-# Community counts per suite flavour.  Basic (the quadratic search) is
-# capped: its full-scan reference is exactly the blow-up being measured.
+# Community counts per suite flavour.
 SPARSE_SIZES_QUICK = (16, 32, 48)
 SPARSE_SIZES_FULL = (16, 32, 48, 64)
-DATASET_SCALE_QUICK = 0.5
-DATASET_SCALE_FULL = 1.0
 
 # The pokec-sparse paper-scale family: the same disjoint-pool community
 # structure at 25 vertices/community.  The quick (CI smoke) size stays
@@ -295,12 +283,10 @@ def _run_case(
     standard,
     core,
     initial_bits: float,
-    algorithm: str,
-    pair_source: str,
     initial_mask_bytes: int,
     metrics: bool = False,
 ) -> Dict[str, Any]:
-    """One measured search run on a fresh copy of the database.
+    """One measured CSPM-Partial run on a fresh copy of the database.
 
     ``metrics`` (schema v7) gives this run a fresh
     :class:`~repro.obs.MetricsRegistry` — composed with whatever suite-
@@ -316,22 +302,9 @@ def _run_case(
         if registry is not None
         else parent
     )
-    with activate(obs), obs.span(
-        "bench.run",
-        algorithm=algorithm,
-        pair_source=pair_source,
-    ):
+    with activate(obs), obs.span("bench.run"):
         start = clock.perf_counter()
-        if algorithm == "basic":
-            trace = run_basic(
-                db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source,
-            )
-        else:
-            trace = run_partial(
-                db, standard, core, initial_dl_bits=initial_bits,
-                pair_source=pair_source,
-            )
+        trace = run_partial(db, standard, core, initial_dl_bits=initial_bits)
         wall = clock.perf_counter() - start
         emit_run_trace(obs.metrics, trace)
         if obs.metrics.enabled:
@@ -355,11 +328,10 @@ def _run_case(
         # per-merge walks); the CI reduction floor carries an order of
         # magnitude of margin over it.
         "mask_peak_bytes": max(initial_mask_bytes, db.mask_memory_bytes()),
-    }
-    if algorithm != "basic":
         # run_partial's default scope — the algorithm string is
         # "cspm-partial/<scope>".
-        entry["update_scope"] = trace.algorithm.rsplit("/", 1)[-1]
+        "update_scope": trace.algorithm.rsplit("/", 1)[-1],
+    }
     if registry is not None:
         entry["metrics"] = registry.snapshot()
     return entry
@@ -368,64 +340,38 @@ def _run_case(
 def _measure_size(
     graph: AttributedGraph,
     label: str,
-    run_basic_too: bool,
-    pair_sources: Sequence[str] = ("overlap", "full"),
     workload: Optional[str] = None,
     metrics: bool = False,
 ) -> Dict[str, Any]:
-    """All (algorithm, pair_source) runs for one workload size."""
+    """The measured run and its series entry for one workload size."""
     db0, standard, core, initial_bits, construction_seconds = _prepare(graph)
     num_leafsets = db0.num_leafsets
-    initial_mask_bytes = db0.mask_memory_bytes()
-    runs: Dict[str, Dict[str, Any]] = {}
-    algorithms = ["partial"] + (["basic"] if run_basic_too else [])
-    for algorithm in algorithms:
-        for pair_source in pair_sources:
-            runs[f"{algorithm}/{pair_source}"] = _run_case(
-                db0,
-                standard,
-                core,
-                initial_bits,
-                algorithm,
-                pair_source,
-                initial_mask_bytes,
-                metrics=metrics,
-            )
+    possible_pairs = num_leafsets * (num_leafsets - 1) // 2
+    run = _run_case(
+        db0,
+        standard,
+        core,
+        initial_bits,
+        db0.mask_memory_bytes(),
+        metrics=metrics,
+    )
     entry: Dict[str, Any] = {
         "label": label,
         "num_vertices": graph.num_vertices,
         "num_leafsets": num_leafsets,
-        "possible_pairs": num_leafsets * (num_leafsets - 1) // 2,
+        "possible_pairs": possible_pairs,
         "mask_backend": db0.mask_backend.name,
         "bigint_mask_bytes_estimate": db0.bigint_mask_bytes_estimate(),
         "construction_seconds": round(construction_seconds, 6),
-        "runs": runs,
+        "runs": {"partial/overlap": run},
+        # The full scan seeds exactly one gain per possible pair.
+        "seeding_gain_reduction": round(
+            possible_pairs / max(1, run["initial_candidate_gains"]), 3
+        ),
     }
     baseline = PRE_COLUMNAR_CONSTRUCTION_SECONDS.get((workload, label))
     if baseline is not None:
         entry["construction_baseline_seconds"] = baseline
-    overlap = runs["partial/overlap"]
-    full = runs.get("partial/full")
-    if full is not None:
-        entry["seeding_gain_reduction"] = round(
-            full["initial_candidate_gains"]
-            / max(1, overlap["initial_candidate_gains"]),
-            3,
-        )
-        entry["partial_wall_speedup"] = round(
-            full["wall_seconds"] / max(1e-9, overlap["wall_seconds"]), 3
-        )
-    else:
-        entry["seeding_gain_reduction"] = None
-        entry["partial_wall_speedup"] = None
-    if run_basic_too and "basic/full" in runs:
-        entry["basic_wall_speedup"] = round(
-            runs["basic/full"]["wall_seconds"]
-            / max(1e-9, runs["basic/overlap"]["wall_seconds"]),
-            3,
-        )
-    else:
-        entry["basic_wall_speedup"] = None
     return entry
 
 
@@ -450,42 +396,21 @@ def workload_catalog() -> List[Dict[str, Any]]:
             "kind": "synthetic-community",
             "quick": communities(SPARSE_SIZES_QUICK),
             "full": communities(SPARSE_SIZES_FULL),
-            "runs": "partial+basic, overlap+full",
-        },
-        {
-            "workload": "dblp",
-            "kind": "dataset-analogue",
-            "quick": [f"scale={DATASET_SCALE_QUICK}"],
-            "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
-        },
-        {
-            "workload": "dblp-trend",
-            "kind": "dataset-analogue",
-            "quick": [f"scale={DATASET_SCALE_QUICK}"],
-            "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
-        },
-        {
-            "workload": "usflight",
-            "kind": "dataset-analogue",
-            "quick": [f"scale={DATASET_SCALE_QUICK}"],
-            "full": [f"scale={DATASET_SCALE_FULL}"],
-            "runs": "partial, overlap+full",
+            "runs": "partial/overlap",
         },
         {
             "workload": "pokec-sparse",
             "kind": "synthetic-community",
             "quick": communities(POKEC_SIZES_QUICK),
             "full": communities(POKEC_SIZES_FULL),
-            "runs": "partial/overlap only, chunked masks",
+            "runs": "partial/overlap, chunked masks",
         },
         {
             "workload": "pokec-xl",
             "kind": "synthetic-community",
             "quick": [],
             "full": communities(POKEC_XL_SIZES_FULL),
-            "runs": "partial/overlap only, chunked masks (full suite only)",
+            "runs": "partial/overlap, chunked masks (full suite only)",
         },
     ]
 
@@ -536,14 +461,8 @@ def run_suite(
         if log is not None:
             log(message)
 
-    def measure(graph, label, workload, **kwargs):
-        return _measure_size(
-            graph,
-            label,
-            workload=workload,
-            metrics=metrics,
-            **kwargs,
-        )
+    def measure(graph, label, workload):
+        return _measure_size(graph, label, workload=workload, metrics=metrics)
 
     workloads: List[Dict[str, Any]] = []
 
@@ -554,12 +473,7 @@ def run_suite(
             say(f"sparse-scaling: communities={num_communities} ...")
             graph = sparse_scaling_graph(num_communities, seed=seed)
             series.append(
-                measure(
-                    graph,
-                    f"communities={num_communities}",
-                    "sparse-scaling",
-                    run_basic_too=True,
-                )
+                measure(graph, f"communities={num_communities}", "sparse-scaling")
             )
         workloads.append(
             {
@@ -568,28 +482,6 @@ def run_suite(
                 "pool_size": SPARSE_POOL_SIZE,
                 "community_size": SPARSE_COMMUNITY_SIZE,
                 "series": series,
-            }
-        )
-
-    scale = DATASET_SCALE_QUICK if quick else DATASET_SCALE_FULL
-    for name in ("dblp", "dblp-trend", "usflight"):
-        if not wanted(name):
-            continue
-        say(f"dataset analogue: {name} (scale={scale}) ...")
-        graph = load_dataset(name, scale=scale, seed=seed)
-        workloads.append(
-            {
-                "workload": name,
-                "kind": "dataset-analogue",
-                "scale": scale,
-                "series": [
-                    measure(
-                        graph,
-                        f"scale={scale}",
-                        name,
-                        run_basic_too=False,
-                    )
-                ],
             }
         )
 
@@ -611,13 +503,7 @@ def run_suite(
             )
             graph = pokec_sparse_graph(num_communities, seed=seed)
             series.append(
-                measure(
-                    graph,
-                    f"communities={num_communities}",
-                    family,
-                    run_basic_too=False,
-                    pair_sources=("overlap",),
-                )
+                measure(graph, f"communities={num_communities}", family)
             )
         workloads.append(
             {
@@ -668,7 +554,7 @@ def summarize(document: Dict[str, Any]) -> str:
 
     lines = [
         f"{'workload':<16}{'size':<16}{'|SL|':>7}{'pairs':>11}"
-        f"{'seed red.':>10}{'partial x':>10}{'basic x':>9}"
+        f"{'seed red.':>10}"
         f"{'partial s':>10}{'build s':>9}{'peak Q':>8}{'skipped':>9}{'dirty':>7}"
         f"{'mask':>9}{'mask MB':>9}{'vs bigint':>10}"
     ]
@@ -687,8 +573,6 @@ def summarize(document: Dict[str, Any]) -> str:
                 f"{workload['workload']:<16}{entry['label']:<16}"
                 f"{entry['num_leafsets']:>7}{entry['possible_pairs']:>11}"
                 f"{_ratio(entry.get('seeding_gain_reduction')):>10.2f}"
-                f"{_ratio(entry.get('partial_wall_speedup')):>10.2f}"
-                f"{_ratio(entry.get('basic_wall_speedup')):>9.2f}"
                 f"{partial['wall_seconds']:>10.3f}"
                 f"{_ratio(entry.get('construction_seconds')):>9.3f}"
                 f"{partial['peak_queue_size']:>8}"
@@ -718,7 +602,8 @@ def check_bounds(
         Upper bound on the overlap run's seeding gain evaluations
         (structural: grows only if candidate generation regresses).
     ``min_seeding_gain_reduction``
-        Lower bound on full/overlap seeding gains.
+        Lower bound on ``possible_pairs`` over the overlap run's seeding
+        gain evaluations (the full scan seeds one gain per pair).
     ``max_total_gain_computations``
         Upper bound on the overlap run's total gain evaluations.
     ``min_refreshes_skipped``
@@ -782,17 +667,8 @@ def check_bounds(
                 )
             floor = constraints.get("min_seeding_gain_reduction")
             if floor is not None:
-                reduction = entry.get("seeding_gain_reduction")
-                if reduction is None:
-                    # Overlap-only entries (pokec-sparse) have no full
-                    # scan to compare against — a bound on them is a
-                    # bounds-file mistake, reported, not a crash.
-                    failures.append(
-                        f"{workload_name}/{label}: seeding_gain_reduction "
-                        f"not measured (overlap-only entry) but bounded "
-                        f">= {floor}"
-                    )
-                elif reduction < floor:
+                reduction = entry["seeding_gain_reduction"]
+                if reduction < floor:
                     failures.append(
                         f"{workload_name}/{label}: seeding_gain_reduction "
                         f"{reduction} < bound {floor}"

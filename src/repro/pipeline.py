@@ -244,11 +244,8 @@ class BuildInvertedDB(PipelineStage):
 class Search(PipelineStage):
     """Steps 3-4: greedy MDL merging, basic or partial-update.
 
-    Candidate pairs come from the overlap-driven generator
-    (:mod:`repro.core.pairgen`) by default; ``pair_source="full"``
-    switches to the quadratic reference scan — same merge sequence and
-    DL bits, only slower.  The perf harness uses this to measure the
-    sparse-aware speedup on identical pipelines.
+    Both searches draw candidate pairs from the overlap-driven
+    generator (:mod:`repro.core.pairgen`).
 
     The end-of-run description length is *incremental*: the searches
     accumulate ``initial_dl_bits - sum(breakdown.total)`` (and the
@@ -264,15 +261,6 @@ class Search(PipelineStage):
     ``context.extras["search_seconds"]``.
     """
 
-    def __init__(self, pair_source: str = "overlap") -> None:
-        from repro.core.pairgen import PAIR_SOURCES
-
-        if pair_source not in PAIR_SOURCES:
-            raise MiningError(
-                f"pair_source must be one of {PAIR_SOURCES}, got {pair_source!r}"
-            )
-        self.pair_source = pair_source
-
     def run(self, context: PipelineContext) -> None:
         config = context.config
         obs = current()
@@ -284,11 +272,13 @@ class Search(PipelineStage):
             else None
         )
         start = clock.perf_counter()
-        with obs.span(
-            "mine.search",
-            method=config.method,
-            scope=config.partial_update_scope,
-        ):
+        # Only CSPM-Partial has an update scope; Basic's span names none.
+        scope = (
+            {"scope": config.partial_update_scope}
+            if config.method == "partial"
+            else {}
+        )
+        with obs.span("mine.search", method=config.method, **scope):
             self._dispatch(context, config, initial_bits)
         elapsed = clock.perf_counter() - start
         context.extras["search_seconds"] = elapsed
@@ -319,7 +309,6 @@ class Search(PipelineStage):
                 include_model_cost=config.include_model_cost,
                 max_iterations=config.max_iterations,
                 initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
             )
         else:
             context.trace = run_partial(
@@ -330,7 +319,6 @@ class Search(PipelineStage):
                 max_iterations=config.max_iterations,
                 update_scope=config.partial_update_scope,
                 initial_dl_bits=initial_bits,
-                pair_source=self.pair_source,
             )
 
 

@@ -36,20 +36,29 @@ class TestMineJson:
         golden = (DATA_DIR / "mine_paper_golden.json").read_text()
         assert out == golden
 
-    def test_golden_lazy_default_mines_the_exhaustive_model(
+    def test_golden_lazy_default_mines_the_basic_model(
         self, paper_graph_file, capsys
     ):
         # The lazy default scope pins the same merges and DL floats as
-        # the eager exhaustive refresh; only the gain counts differ.
-        main(["mine", paper_graph_file, "--json", "--scope", "exhaustive"])
-        exhaustive = json.loads(capsys.readouterr().out)["trace"]
+        # CSPM-Basic; only the gain counts differ.
+        assert main(["mine", paper_graph_file, "--json", "--method", "basic"]) == 0
+        basic = json.loads(capsys.readouterr().out)["trace"]
         golden = json.loads(
             (DATA_DIR / "mine_paper_golden.json").read_text()
         )["trace"]
         assert [step["merged_pair"] for step in golden["iterations"]] == [
-            step["merged_pair"] for step in exhaustive["iterations"]
+            step["merged_pair"] for step in basic["iterations"]
         ]
-        assert golden["final_dl_bits"] == exhaustive["final_dl_bits"]
+        assert golden["final_dl_bits"] == basic["final_dl_bits"]
+
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    def test_exhaustive_scope_rejected(self, paper_graph_file, capsys, output):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", paper_graph_file, "--scope", "exhaustive"] + output)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'exhaustive'" in captured.err
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize(
@@ -63,7 +72,7 @@ class TestMineJson:
             ("pokec", 0.0005),
         ],
     )
-    def test_default_scope_mines_the_exhaustive_model_on_analogues(
+    def test_default_scope_mines_the_basic_model_on_analogues(
         self, tmp_path, capsys, name, scale, seed
     ):
         graph_file = str(tmp_path / f"{name}.json")
@@ -71,15 +80,15 @@ class TestMineJson:
               "--seed", str(seed)])
         capsys.readouterr()
         traces = []
-        for extra in ([], ["--scope", "exhaustive"]):
+        for extra in ([], ["--method", "basic"]):
             assert main(["mine", graph_file, "--json"] + extra) == 0
             traces.append(json.loads(capsys.readouterr().out)["trace"])
-        default, exhaustive = traces
+        default, basic = traces
         assert default["iterations"]
         assert [step["merged_pair"] for step in default["iterations"]] == [
-            step["merged_pair"] for step in exhaustive["iterations"]
+            step["merged_pair"] for step in basic["iterations"]
         ]
-        assert default["final_dl_bits"] == exhaustive["final_dl_bits"]
+        assert default["final_dl_bits"] == basic["final_dl_bits"]
 
     def test_output_is_valid_json_with_config(self, paper_graph_file, capsys):
         main(["mine", paper_graph_file, "--json", "--top", "3"])

@@ -68,6 +68,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\('batch',\)"):
             FaultEvent(site="construction", index=0, kind="crash")
 
+    def test_exhaustive_scope_names_the_allowed_values(self):
+        allowed = r"\('lazy', 'related'\)"
+        with pytest.raises(ConfigError, match=allowed):
+            CSPMConfig(partial_update_scope="exhaustive")
+        with pytest.raises(ConfigError, match=allowed):
+            CSPMConfig.from_dict({"partial_update_scope": "exhaustive"})
+
     def test_search_names_the_allowed_value(self):
         with pytest.raises(ConfigError, match=r"\('serial',\)"):
             CSPMConfig(search="sharded")

@@ -3,7 +3,7 @@
 The headline invariants:
 
 * both variants converge to a state where no pair has positive gain;
-* CSPM-Basic and CSPM-Partial (exhaustive scope) reach identical DL;
+* CSPM-Basic and CSPM-Partial (lazy scope) reach identical DL;
 * every accepted merge strictly decreases the tracked DL, and the
   incremental DL equals a from-scratch recomputation at termination.
 """
@@ -16,6 +16,7 @@ from repro.core.cspm_partial import run_partial
 from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.mdl import description_length
+from repro.core.pairgen import overlap_pairs
 from repro.errors import MiningError
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -78,7 +79,7 @@ class TestBasic:
 
 
 class TestPartial:
-    @pytest.mark.parametrize("scope", ["lazy", "exhaustive"])
+    @pytest.mark.parametrize("scope", ["lazy"])
     @pytest.mark.parametrize("seed", range(5))
     def test_model_preserving_scopes_match_basic(self, seed, scope):
         graph = random_graph(seed)
@@ -106,10 +107,11 @@ class TestPartial:
         reference = description_length(db, standard, core).total_bits
         assert trace.final_dl_bits == pytest.approx(reference, abs=1e-6)
 
-    def test_invalid_scope_rejected(self, paper_graph):
+    @pytest.mark.parametrize("scope", ["bogus", "exhaustive"])
+    def test_invalid_scope_rejected(self, paper_graph, scope):
         db, standard, core = setup(paper_graph)
-        with pytest.raises(MiningError):
-            run_partial(db, standard, core, update_scope="bogus")
+        with pytest.raises(MiningError, match=r"\('lazy', 'related'\)"):
+            run_partial(db, standard, core, update_scope=scope)
 
     def test_database_valid_after_search(self):
         graph = random_graph(11)
@@ -146,13 +148,6 @@ class TestInstrumentation:
         assert ratios
         assert all(0.0 <= ratio <= 1.0 for ratio in ratios)
 
-    def test_basic_full_scan_ratio_is_one(self, paper_graph):
-        # The reference configuration: quadratic enumeration with the
-        # seed's re-scan-everything strategy touches every pair.
-        db, standard, core = setup(paper_graph)
-        trace = run_basic(db, standard, core, pair_source="full", rescan="full")
-        assert all(t.update_ratio == 1.0 for t in trace.iterations)
-
     def test_basic_restricted_rescan_never_exceeds_full(self, paper_graph):
         # The touched-neighbourhood rescan computes at most as many
         # gains per iteration as the full re-enumeration.
@@ -160,6 +155,18 @@ class TestInstrumentation:
         full = run_basic(*setup(paper_graph), rescan="full")
         for restricted_it, full_it in zip(trace.iterations, full.iterations):
             assert restricted_it.gains_computed <= full_it.gains_computed
+
+    def test_basic_full_rescan_evaluates_every_candidate_pair(self):
+        # Algorithm 2 literally: each iteration evaluates exactly the
+        # pairs the generator yields on that iteration's database.
+        graph = random_graph(7)
+        fresh, standard, core = setup(graph)
+        trace = run_basic(fresh.copy(), standard, core, rescan="full")
+        assert trace.iterations
+        for done, iteration in enumerate(trace.iterations):
+            db = fresh.copy()
+            run_basic(db, standard, core, max_iterations=done)
+            assert iteration.gains_computed == len(overlap_pairs(db))
 
     def test_basic_rejects_unknown_rescan(self, paper_graph):
         with pytest.raises(MiningError, match="rescan"):

@@ -6,9 +6,9 @@ pair's leafsets only shrink ``fe``), refreshes provably unchanged by
 the merge are skipped via union-mask tests, and revalidation happens
 only when a dirty pair reaches the queue head.  Everything here pins
 the headline guarantee — the mined model, the merge sequence and the
-incremental DL accounting are *bit-identical* to both CSPM-Basic and
-the exhaustive scope — plus the counter semantics the perf suite
-records (``refreshes_skipped``/``dirty_revalidations``).
+incremental DL accounting are *bit-identical* to CSPM-Basic — plus
+the counter semantics the perf suite records
+(``refreshes_skipped``/``dirty_revalidations``).
 """
 
 import math
@@ -17,13 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.candidates import enumerate_pairs
 from repro.core.code_table import CoreCodeTable, StandardCodeTable
 from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import UPDATE_SCOPES, run_partial
-from repro.core.gain import GainEngine
+from repro.core.gain import GainEngine, pair_gain
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import BigintMaskBackend, ChunkedMaskBackend
 from repro.core.mdl import description_length
+from repro.core.pairgen import overlap_pairs
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -82,6 +84,13 @@ def multi_component_graph(seed, parts=3):
     return graph
 
 
+def part_of(leafset):
+    """The part of :func:`multi_component_graph` a leafset's values come
+    from (every value carries its part's digit second: ``p0``, ``n1a``)."""
+    (part,) = {value[1] for value in leafset}
+    return part
+
+
 #: Equivalence inputs: connected planted graphs (ids ``0``..``7``) and
 #: disjoint unions whose coreset-overlap graph has several components.
 EQUIVALENCE_GRAPHS = [
@@ -97,8 +106,9 @@ class TestScopeRegistry:
         from repro.config import CSPMConfig
         from repro.config import UPDATE_SCOPES as CONFIG_SCOPES
 
-        assert "lazy" in UPDATE_SCOPES
-        assert UPDATE_SCOPES == CONFIG_SCOPES
+        assert UPDATE_SCOPES == ("lazy", "related")
+        # One definition: the search validates against the config's list.
+        assert UPDATE_SCOPES is CONFIG_SCOPES
         assert CSPMConfig().partial_update_scope == "lazy"
 
     def test_default_run_partial_scope_is_lazy(self, paper_graph):
@@ -107,34 +117,29 @@ class TestScopeRegistry:
 
 
 class TestBitExactEquivalence:
-    """Lazy must reproduce Basic's and exhaustive's model bit-for-bit."""
+    """Lazy must reproduce Basic's model bit-for-bit."""
 
     @pytest.mark.parametrize("make_graph, seed", EQUIVALENCE_GRAPHS)
-    def test_lazy_matches_basic_and_exhaustive(self, make_graph, seed):
+    def test_lazy_matches_basic(self, make_graph, seed):
         graph = make_graph(seed)
         db_basic, standard, core = setup(graph)
         trace_basic = run_basic(db_basic, standard, core)
         db_lazy, _, _ = setup(graph)
         trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
-        db_exh, _, _ = setup(graph)
-        trace_exh = run_partial(db_exh, standard, core, update_scope="exhaustive")
 
         # Identical models (exact snapshot equality) ...
         assert db_lazy.snapshot() == db_basic.snapshot()
-        assert db_lazy.snapshot() == db_exh.snapshot()
         # ... produced by the identical merge sequence ...
         assert [t.merged_pair for t in trace_lazy.iterations] == [
             t.merged_pair for t in trace_basic.iterations
         ]
-        # ... with bit-identical incremental DL accounting vs the
-        # exhaustive scope and CSPM-Basic (clean-head merges reuse
-        # stored breakdowns, so every subtracted float must be the very
-        # same one).
-        for other in (trace_exh, trace_basic):
-            assert trace_lazy.final_dl_bits == other.final_dl_bits
-            assert [t.total_dl_bits for t in trace_lazy.iterations] == [
-                t.total_dl_bits for t in other.iterations
-            ]
+        # ... with bit-identical incremental DL accounting (clean-head
+        # merges reuse stored breakdowns, so every subtracted float
+        # must be the very same one).
+        assert trace_lazy.final_dl_bits == trace_basic.final_dl_bits
+        assert [t.total_dl_bits for t in trace_lazy.iterations] == [
+            t.total_dl_bits for t in trace_basic.iterations
+        ]
 
     def test_lazy_tracked_dl_matches_reference_recompute(self):
         graph = random_graph(3)
@@ -143,15 +148,6 @@ class TestBitExactEquivalence:
         reference = description_length(db, standard, core).total_bits
         assert trace.final_dl_bits == pytest.approx(reference, abs=1e-6)
         db.validate(graph)
-
-    def test_pair_source_full_is_bit_exact_too(self):
-        graph = random_graph(5)
-        db_o, standard, core = setup(graph)
-        trace_o = run_partial(db_o, standard, core, pair_source="overlap")
-        db_f, _, _ = setup(graph)
-        trace_f = run_partial(db_f, standard, core, pair_source="full")
-        assert db_o.snapshot() == db_f.snapshot()
-        assert trace_o.final_dl_bits == trace_f.final_dl_bits
 
 
 class TestDisjointUnions:
@@ -178,25 +174,51 @@ class TestDisjointUnions:
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_basic_is_lossless_and_backend_independent(self, seed):
+        graph = multi_component_graph(seed)
+        runs = []
+        for backend in (
+            BigintMaskBackend(),
+            ChunkedMaskBackend(),
+            ChunkedMaskBackend(chunk_bits=64),
+        ):
+            db, standard, core = setup(graph, backend)
+            trace = run_basic(db, standard, core)
+            db.validate(graph)
+            runs.append((trace.to_dict(), db.snapshot()))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_overlap_seeding_matches_the_full_scan(self, seed):
         # Cross-component pairs share no coreset: the overlap generator
-        # never evaluates them, the full scan evaluates them to zero.
+        # never yields them, the full scan would evaluate them to zero.
+        # Checked on the fresh and on the converged database.
         graph = multi_component_graph(seed)
-        db_o, standard, core = setup(graph)
-        trace_o = run_partial(db_o, standard, core, pair_source="overlap")
-        db_f, _, _ = setup(graph)
-        trace_f = run_partial(db_f, standard, core, pair_source="full")
-        assert db_o.snapshot() == db_f.snapshot()
-        assert [t.merged_pair for t in trace_o.iterations] == [
-            t.merged_pair for t in trace_f.iterations
-        ]
-        assert [t.total_dl_bits for t in trace_o.iterations] == [
-            t.total_dl_bits for t in trace_f.iterations
-        ]
-        assert (
-            trace_o.initial_candidate_gains < trace_f.initial_candidate_gains
-        )
+        fresh, standard, core = setup(graph)
+        db = fresh.copy()
+        trace = run_partial(db, standard, core, update_scope="lazy")
+        assert trace.initial_candidate_gains == len(overlap_pairs(fresh))
+        for state in (fresh, db):
+            full = list(
+                enumerate_pairs(state.leafsets(), interner=state.interner)
+            )
+            pairs = overlap_pairs(state)
+            assert pairs == [
+                pair
+                for pair in full
+                if state.leaf_union_mask(pair[0]) & state.leaf_union_mask(pair[1])
+            ]
+            assert len(pairs) < len(full)
+            overlap = set(pairs)
+            for leaf_x, leaf_y in full:
+                if part_of(leaf_x) != part_of(leaf_y):
+                    assert (leaf_x, leaf_y) not in overlap
+                if (leaf_x, leaf_y) not in overlap:
+                    gain = pair_gain(state, leaf_x, leaf_y, standard, core)
+                    assert gain.data_leaf_gain == 0.0
+                    assert gain.data_core_gain == 0.0
 
     @pytest.mark.parametrize("seed", range(2))
     def test_tracked_dl_matches_reference_recompute(self, seed):
@@ -238,8 +260,8 @@ def attributed_graphs(draw, max_vertices=10):
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_property_lazy_and_exhaustive_reach_identical_dl(graph):
-    """Lazy, exhaustive and Basic converge to the same model and DL on
+def test_property_lazy_and_basic_reach_identical_dl(graph):
+    """Lazy and Basic converge to the same model and DL floats on
     arbitrary small graphs; the related heuristic follows its own merge
     path (it may stop earlier or even luck into a better model), so it
     is only held to internally-consistent DL accounting."""
@@ -247,19 +269,11 @@ def test_property_lazy_and_exhaustive_reach_identical_dl(graph):
     trace_basic = run_basic(db_basic, standard, core)
     db_lazy, _, _ = setup(graph)
     trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
-    db_exh, _, _ = setup(graph)
-    trace_exh = run_partial(db_exh, standard, core, update_scope="exhaustive")
     db_rel, _, _ = setup(graph)
     trace_rel = run_partial(db_rel, standard, core, update_scope="related")
 
-    assert db_lazy.snapshot() == db_basic.snapshot() == db_exh.snapshot()
-    assert trace_lazy.final_dl_bits == trace_exh.final_dl_bits
-    assert math.isclose(
-        trace_lazy.final_dl_bits,
-        trace_basic.final_dl_bits,
-        rel_tol=1e-9,
-        abs_tol=1e-6,
-    )
+    assert db_lazy.snapshot() == db_basic.snapshot()
+    assert trace_lazy.final_dl_bits == trace_basic.final_dl_bits
     assert math.isclose(
         trace_rel.final_dl_bits,
         description_length(db_rel, standard, core).total_bits,
@@ -278,11 +292,10 @@ class TestCounters:
         # Every merge was accounted: skips + computations >= pops.
         assert trace.total_gain_computations > 0
 
-    @pytest.mark.parametrize("scope", ["exhaustive", "related"])
-    def test_counters_zero_for_eager_scopes(self, scope):
+    def test_counters_zero_for_related_scope(self):
         graph = random_graph(2)
         db, standard, core = setup(graph)
-        trace = run_partial(db, standard, core, update_scope=scope)
+        trace = run_partial(db, standard, core, update_scope="related")
         assert trace.refreshes_skipped == 0
         assert trace.dirty_revalidations == 0
 
@@ -292,16 +305,16 @@ class TestCounters:
         assert trace.refreshes_skipped == 0
         assert trace.dirty_revalidations == 0
 
-    def test_lazy_computes_fewer_gains_than_exhaustive(self):
+    def test_lazy_computes_fewer_gains_than_basic(self):
         graph = random_graph(4)
         db_l, standard, core = setup(graph)
         trace_l = run_partial(db_l, standard, core, update_scope="lazy")
-        db_e, _, _ = setup(graph)
-        trace_e = run_partial(db_e, standard, core, update_scope="exhaustive")
-        assert trace_l.total_gain_computations < trace_e.total_gain_computations
+        db_b, _, _ = setup(graph)
+        trace_b = run_basic(db_b, standard, core)
+        assert trace_l.total_gain_computations < trace_b.total_gain_computations
         # The skipped work is exactly what the counters claim: the
         # lazy run evaluated fewer pairs, not different ones.
-        assert trace_l.num_iterations == trace_e.num_iterations
+        assert trace_l.num_iterations == trace_b.num_iterations
 
 
 class TestStaleness:

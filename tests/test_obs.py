@@ -422,6 +422,25 @@ class TestPipelineSpans:
             "encode.num_coresets"
         ] > 0
 
+    @pytest.mark.parametrize(
+        "method, attrs",
+        [
+            ("partial", {"method": "partial", "scope": "lazy"}),
+            ("basic", {"method": "basic"}),
+        ],
+    )
+    def test_search_span_names_a_scope_only_for_partial(self, method, attrs):
+        config = CSPMConfig(method=method, trace=True)
+        context = MiningPipeline.default(config).run_context(
+            paper_running_example()
+        )
+        (search,) = [
+            record
+            for record in context.obs.tracer.spans
+            if record[0] == "mine.search"
+        ]
+        assert json.loads(search[4]) == attrs
+
     def test_supervised_run_adopts_worker_lanes_and_retry_instants(self):
         batch = fit_many(
             [paper_running_example(), planted()],

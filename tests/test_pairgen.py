@@ -1,12 +1,16 @@
-"""Overlap-driven candidate generation: equivalence and maintenance.
+"""Overlap-driven candidate generation: the contract and maintenance.
 
-The headline guarantee: searching with the sparse-aware generator
-(:func:`repro.core.pairgen.overlap_pairs`) is *bit-exact* with the
-quadratic full scan — identical merge sequences and identical final DL
-— for both CSPM-Basic and CSPM-Partial/exhaustive, on many randomized
-graphs.  Alongside: unit tests of the incremental adjacency/id-list
+The headline guarantee: the sparse-aware generator
+(:func:`repro.core.pairgen.overlap_pairs`) yields exactly the pairs of
+the quadratic full scan (:func:`repro.core.candidates.enumerate_pairs`)
+whose union masks overlap, in the scan's order, and every pair it
+omits has zero data gain — on fresh databases and after any number of
+merges, under both enumeration strategies.  Both searches seed from
+it, so that contract is what keeps them equal to Algorithm 2's
+enumeration; :class:`TestSearchEquivalence` runs both searches on
+both graph families against Algorithm 2 literally.  Alongside: unit tests of the incremental adjacency/id-list
 maintenance in :class:`InvertedDatabase.merge` (row-vanishing and
-partial-survivor cases) and of the generator's ordering contract.
+partial-survivor cases).
 """
 
 import pytest
@@ -17,9 +21,9 @@ from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.gain import pair_gain
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.pairgen import generate_pairs, overlap_pairs
+from repro.core.mdl import description_length
+from repro.core.pairgen import overlap_pairs
 from repro.datasets.synthetic import community_attributed_graph
-from repro.errors import MiningError
 from repro.graphs.builders import star_graph
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 
@@ -63,8 +67,33 @@ def community_graph(seed, communities=6, pool=5):
     )
 
 
-def merge_sequence(trace):
-    return [t.merged_pair for t in trace.iterations]
+def overlapping_full_scan(db):
+    """The oracle: the full scan restricted to overlapping union masks."""
+    return [
+        pair
+        for pair in enumerate_pairs(db.leafsets(), interner=db.interner)
+        if db.leaf_union_mask(pair[0]) & db.leaf_union_mask(pair[1])
+    ]
+
+
+def strategy(db):
+    """Which enumeration :func:`overlap_pairs` takes on ``db``."""
+    n = db.num_leafsets
+    sparse_cost = sum(
+        len(ids) * (len(ids) - 1) // 2 for ids in db.coreset_leaf_ids().values()
+    )
+    return "sweep" if sparse_cost >= n * (n - 1) // 2 else "walk"
+
+
+#: Both enumeration strategies: a community graph starts on the mask
+#: sweep and switches to the adjacency walk as merges thin out the
+#: coreset lists; a planted graph (small value universe) stays on the
+#: sweep throughout.
+GRAPH_FAMILIES = [
+    pytest.param(community_graph, id="community"),
+    pytest.param(planted_graph, id="planted"),
+]
+STRATEGIES = {community_graph: {"sweep", "walk"}, planted_graph: {"sweep"}}
 
 
 class TestGeneratorContract:
@@ -81,37 +110,45 @@ class TestGeneratorContract:
         overlap = set(overlap_pairs(db))
         assert overlap <= full
 
+    @pytest.mark.parametrize("make_graph", GRAPH_FAMILIES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_omitted_pairs_have_zero_gain(self, seed):
-        graph = community_graph(seed)
-        db, standard, core = setup(graph)
-        overlap = set(overlap_pairs(db))
-        for pair in enumerate_pairs(db.leafsets(), interner=db.interner):
-            if pair not in overlap:
-                gain = pair_gain(db, *pair, standard, core)
-                assert gain.data_leaf_gain == 0.0
-                assert gain.data_core_gain == 0.0
+    def test_omitted_pairs_have_zero_gain(self, seed, make_graph):
+        # Fresh, mid-run and converged databases: the merges come from
+        # CSPM-Basic capped at each count (None = run to convergence).
+        graph = make_graph(seed)
+        fresh, standard, core = setup(graph)
+        for merges in (0, 1, 5, 20, None):
+            db = fresh.copy()
+            run_basic(db, standard, core, max_iterations=merges)
+            pairs = overlap_pairs(db)
+            assert pairs == overlapping_full_scan(db)
+            overlap = set(pairs)
+            for pair in enumerate_pairs(db.leafsets(), interner=db.interner):
+                if pair not in overlap:
+                    gain = pair_gain(db, *pair, standard, core)
+                    assert gain.data_leaf_gain == 0.0
+                    assert gain.data_core_gain == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_union_mask_brute_force(self, seed):
-        # Both enumeration strategies must equal the exact overlap
-        # predicate: union masks intersect.  community_graph picks the
-        # adjacency walk, planted_graph (small value universe) the mask
-        # sweep; the predicate is strategy-independent.
+        # The generator must equal the exact overlap predicate: union
+        # masks intersect.  Fresh databases of both families take the
+        # mask sweep; test_still_exact_after_merges reaches the walk.
         for graph in (community_graph(seed), planted_graph(seed)):
             db, _, _ = setup(graph)
-            expected = [
-                pair
-                for pair in enumerate_pairs(db.leafsets(), interner=db.interner)
-                if db.leaf_union_mask(pair[0]) & db.leaf_union_mask(pair[1])
-            ]
-            assert overlap_pairs(db) == expected
+            assert overlap_pairs(db) == overlapping_full_scan(db)
 
-    def test_still_exact_after_merges(self):
-        db, standard, core = setup(community_graph(1))
-        run_partial(db.copy(), standard, core)  # sanity: converges
-        for _ in range(5):
+    @pytest.mark.parametrize("make_graph", GRAPH_FAMILIES)
+    def test_still_exact_after_merges(self, make_graph):
+        # Greedy merges by the independent pair_gain, to convergence;
+        # the generator must stay exact after every one of them.
+        db, standard, core = setup(make_graph(1))
+        merges = 0
+        seen = set()
+        while True:
+            seen.add(strategy(db))
             pairs = overlap_pairs(db)
+            assert pairs == overlapping_full_scan(db)
             best = None
             for pair in pairs:
                 gain = pair_gain(db, *pair, standard, core).net(True)
@@ -120,16 +157,17 @@ class TestGeneratorContract:
             if best is None:
                 break
             db.merge(*best[0])
-            expected = [
-                pair
-                for pair in enumerate_pairs(db.leafsets(), interner=db.interner)
-                if db.leaf_union_mask(pair[0]) & db.leaf_union_mask(pair[1])
-            ]
-            assert overlap_pairs(db) == expected
+            merges += 1
+        assert merges > 5
+        assert seen == STRATEGIES[make_graph]
+        db.validate()
 
-    def test_generate_pairs_rejects_unknown_source(self, paper_db):
-        with pytest.raises(MiningError):
-            generate_pairs(paper_db, "bogus")
+    def test_sparse_seeding_is_cheaper(self):
+        db, standard, core = setup(community_graph(2, communities=10))
+        possible = db.num_leafsets * (db.num_leafsets - 1) // 2
+        trace = run_partial(db, standard, core)
+        # The full scan would seed one gain per possible pair.
+        assert trace.initial_candidate_gains < possible / 2
 
     def test_disjoint_leafsets_yield_nothing(self):
         # {x} lives only at the core vertex, {c} only at the leaves:
@@ -139,57 +177,69 @@ class TestGeneratorContract:
         assert overlap_pairs(db) == []
 
 
+def merge_sequence(trace):
+    return [t.merged_pair for t in trace.iterations]
+
+
 class TestSearchEquivalence:
-    """Overlap-driven search is bit-exact with the full scan."""
+    """Both searches, seeded by the generator, on both graph families.
+
+    Community graphs move to the adjacency walk mid-run, so these runs
+    cover the generator's walk inside the searches, not only its sweep.
+    The reference is ``run_basic(rescan="full")``, Algorithm 2 literally:
+    every candidate pair is re-evaluated on every iteration.
+    """
 
     @pytest.mark.parametrize("seed", range(10))
     def test_basic_same_merges_and_dl(self, seed):
         graph = planted_graph(seed) if seed % 2 else community_graph(seed)
         db_full, standard, core = setup(graph)
-        trace_full = run_basic(db_full, standard, core, pair_source="full")
-        db_overlap, _, _ = setup(graph)
-        trace_overlap = run_basic(db_overlap, standard, core, pair_source="overlap")
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
-        assert db_overlap.snapshot() == db_full.snapshot()
+        trace_full = run_basic(db_full, standard, core, rescan="full")
+        db_restricted, _, _ = setup(graph)
+        trace_restricted = run_basic(db_restricted, standard, core)
+        assert merge_sequence(trace_restricted) == merge_sequence(trace_full)
+        assert trace_restricted.final_dl_bits == trace_full.final_dl_bits
+        assert db_restricted.snapshot() == db_full.snapshot()
         assert (
-            trace_overlap.initial_candidate_gains
-            <= trace_full.initial_candidate_gains
+            trace_restricted.total_gain_computations
+            <= trace_full.total_gain_computations
         )
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_partial_exhaustive_same_merges_and_dl(self, seed):
+    def test_partial_lazy_same_merges_and_dl(self, seed):
         graph = community_graph(seed) if seed % 2 else planted_graph(seed)
-        db_full, standard, core = setup(graph)
-        trace_full = run_partial(db_full, standard, core, pair_source="full")
-        db_overlap, _, _ = setup(graph)
-        trace_overlap = run_partial(db_overlap, standard, core, pair_source="overlap")
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
-        assert db_overlap.snapshot() == db_full.snapshot()
+        db_basic, standard, core = setup(graph)
+        trace_basic = run_basic(db_basic, standard, core, rescan="full")
+        db_lazy, _, _ = setup(graph)
+        trace_lazy = run_partial(db_lazy, standard, core, update_scope="lazy")
+        assert merge_sequence(trace_lazy) == merge_sequence(trace_basic)
+        assert trace_lazy.final_dl_bits == trace_basic.final_dl_bits
+        assert db_lazy.snapshot() == db_basic.snapshot()
 
     @pytest.mark.parametrize("seed", [0, 3, 6])
-    def test_partial_related_scope_same_merges(self, seed):
+    def test_partial_related_scope_same_first_merge(self, seed):
+        # The related heuristic follows its own path after the first
+        # merge, but it seeds from the same pairs as Basic, so its first
+        # pick is Basic's; its DL accounting must stay exact throughout.
         graph = community_graph(seed)
-        db_full, standard, core = setup(graph)
-        trace_full = run_partial(
-            db_full, standard, core, update_scope="related", pair_source="full"
+        db_basic, standard, core = setup(graph)
+        trace_basic = run_basic(db_basic, standard, core, max_iterations=1)
+        db_related, _, _ = setup(graph)
+        trace_related = run_partial(
+            db_related, standard, core, update_scope="related"
         )
-        db_overlap, _, _ = setup(graph)
-        trace_overlap = run_partial(
-            db_overlap, standard, core, update_scope="related", pair_source="overlap"
-        )
-        assert merge_sequence(trace_overlap) == merge_sequence(trace_full)
-        assert trace_overlap.final_dl_bits == trace_full.final_dl_bits
-
-    def test_sparse_seeding_is_cheaper(self):
-        db, standard, core = setup(community_graph(2, communities=10))
-        trace_full = run_partial(db.copy(), standard, core, pair_source="full")
-        trace_overlap = run_partial(db.copy(), standard, core, pair_source="overlap")
+        assert merge_sequence(trace_related)[:1] == merge_sequence(trace_basic)
         assert (
-            trace_overlap.initial_candidate_gains
-            < trace_full.initial_candidate_gains / 2
+            trace_related.initial_candidate_gains
+            == trace_basic.initial_candidate_gains
         )
+        dls = [trace_related.initial_dl_bits] + [
+            t.total_dl_bits for t in trace_related.iterations
+        ]
+        assert all(after < before for before, after in zip(dls, dls[1:]))
+        reference = description_length(db_related, standard, core).total_bits
+        assert trace_related.final_dl_bits == pytest.approx(reference, abs=1e-6)
+        db_related.validate(graph)
 
 
 class TestIncrementalAdjacency:

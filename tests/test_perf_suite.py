@@ -26,17 +26,17 @@ from repro.perf.suite import (
 @pytest.fixture(scope="module")
 def tiny_entry():
     graph = sparse_scaling_graph(3)
-    return _measure_size(graph, "communities=3", run_basic_too=True)
+    return _measure_size(graph, "communities=3")
 
 
 class TestMeasureSize:
-    def test_runs_all_variants(self, tiny_entry):
-        assert set(tiny_entry["runs"]) == {
-            "partial/overlap",
-            "partial/full",
-            "basic/overlap",
-            "basic/full",
-        }
+    def test_runs_only_partial_overlap(self, tiny_entry):
+        # Schema v10: one run per entry, under the key old documents
+        # and check_bounds read.
+        assert set(tiny_entry["runs"]) == {"partial/overlap"}
+        assert not {"partial_wall_speedup", "basic_wall_speedup"} & set(
+            tiny_entry
+        )
 
     def test_counters_present_and_consistent(self, tiny_entry):
         for run in tiny_entry["runs"].values():
@@ -45,23 +45,16 @@ class TestMeasureSize:
             assert run["total_gain_computations"] >= run["initial_candidate_gains"]
             assert run["refreshes_skipped"] >= 0
             assert run["dirty_revalidations"] >= 0
-        # Peak queue size only exists for the partial variants.
         assert tiny_entry["runs"]["partial/overlap"]["peak_queue_size"] >= 1
-        assert tiny_entry["runs"]["basic/overlap"]["peak_queue_size"] == 0
 
     def test_schema_version_and_lazy_counters(self, tiny_entry):
-        assert SCHEMA_VERSION == 9
+        assert SCHEMA_VERSION == 10
         partial = tiny_entry["runs"]["partial/overlap"]
-        # Partial runs use (and record) the library default scope, and
+        # The run uses (and records) the library default scope, and
         # the bound-driven refresh skips at least something on any
         # non-trivial workload.
         assert partial["update_scope"] == "lazy"
         assert partial["refreshes_skipped"] > 0
-        # Basic has no queue, so no refreshes to skip or revalidate.
-        basic = tiny_entry["runs"]["basic/overlap"]
-        assert "update_scope" not in basic
-        assert basic["refreshes_skipped"] == 0
-        assert basic["dirty_revalidations"] == 0
 
     def test_schema_v3_mask_fields(self, tiny_entry):
         # The tiny graph resolves "auto" to bigint masks; every run
@@ -98,8 +91,6 @@ class TestMeasureSize:
         entry = _measure_size(
             graph,
             "communities=800",  # label with a recorded baseline
-            run_basic_too=False,
-            pair_sources=("overlap",),
             workload="pokec-sparse",
         )
         assert entry["construction_baseline_seconds"] == (
@@ -121,13 +112,9 @@ class TestMeasureSize:
             "iterations",
             "final_dl_bits",
         )
-        entries = {
-            "bigint": _measure_size(graph, "communities=3", run_basic_too=False)
-        }
+        entries = {"bigint": _measure_size(graph, "communities=3")}
         monkeypatch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
-        entries["chunked"] = _measure_size(
-            graph, "communities=3", run_basic_too=False
-        )
+        entries["chunked"] = _measure_size(graph, "communities=3")
         reference = entries["bigint"]["runs"]["partial/overlap"]
         for backend, entry in entries.items():
             assert entry["mask_backend"] == backend
@@ -135,22 +122,12 @@ class TestMeasureSize:
             for field in structural:
                 assert run[field] == reference[field], (backend, field)
 
-    def test_bit_exactness_across_sources(self, tiny_entry):
-        runs = tiny_entry["runs"]
-        assert (
-            runs["partial/overlap"]["final_dl_bits"]
-            == runs["partial/full"]["final_dl_bits"]
-        )
-        assert (
-            runs["basic/overlap"]["final_dl_bits"]
-            == runs["basic/full"]["final_dl_bits"]
-        )
-
     def test_overlap_seeding_never_costlier(self, tiny_entry):
-        runs = tiny_entry["runs"]
-        assert (
-            runs["partial/overlap"]["initial_candidate_gains"]
-            <= runs["partial/full"]["initial_candidate_gains"]
+        # The full scan would seed one gain per possible pair.
+        seeded = tiny_entry["runs"]["partial/overlap"]["initial_candidate_gains"]
+        assert seeded <= tiny_entry["possible_pairs"]
+        assert tiny_entry["seeding_gain_reduction"] == round(
+            tiny_entry["possible_pairs"] / seeded, 3
         )
         assert tiny_entry["seeding_gain_reduction"] >= 1.0
 
@@ -170,30 +147,36 @@ class TestMeasureSize:
 
 class TestAcceptance:
     def test_sparse_seeding_gains_cut_at_least_5x(self):
-        # The PR's headline counter criterion on the sparse Fig. 5
-        # style workload: overlap-driven generation evaluates >=5x
-        # fewer gains at seeding than the full scan, bit-exactly.
+        # The headline counter criterion on the sparse Fig. 5 style
+        # workload: overlap-driven generation evaluates >=5x fewer
+        # gains at seeding than the full scan, which seeds one gain per
+        # possible pair.
         from repro.core.cspm_partial import run_partial
         from repro.perf.suite import _prepare
 
         db0, standard, core, bits, _build_seconds = _prepare(
             sparse_scaling_graph(24)
         )
-        overlap = run_partial(
-            db0.copy(), standard, core, initial_dl_bits=bits, pair_source="overlap"
-        )
-        full = run_partial(
-            db0.copy(), standard, core, initial_dl_bits=bits, pair_source="full"
-        )
-        assert overlap.initial_candidate_gains * 5 <= full.initial_candidate_gains
-        assert overlap.final_dl_bits == full.final_dl_bits
+        possible = db0.num_leafsets * (db0.num_leafsets - 1) // 2
+        trace = run_partial(db0, standard, core, initial_dl_bits=bits)
+        assert trace.initial_candidate_gains * 5 <= possible
 
 
 class TestWorkloadFilter:
     def test_only_restricts_the_run(self):
-        document = run_suite(quick=True, only=["usflight"])
-        assert [w["workload"] for w in document["workloads"]] == ["usflight"]
+        document = run_suite(quick=True, only=["sparse-scaling"])
+        assert [w["workload"] for w in document["workloads"]] == [
+            "sparse-scaling"
+        ]
         assert document["schema_version"] == SCHEMA_VERSION
+        # Schema v10: every entry runs partial/overlap only and carries
+        # its seeding reduction.
+        for entry in document["workloads"][0]["series"]:
+            assert set(entry["runs"]) == {"partial/overlap"}
+            seeded = entry["runs"]["partial/overlap"]["initial_candidate_gains"]
+            assert entry["seeding_gain_reduction"] == round(
+                entry["possible_pairs"] / seeded, 3
+            )
         # Schema v8 dropped the suite-level engine and policy keys,
         # schema v9 the search path, its worker count and fault plan.
         dropped = {
@@ -216,36 +199,36 @@ class TestWorkloadFilter:
             "schema_version": 1,
             "workloads": [
                 {"workload": "sparse-scaling", "series": ["old-sparse"]},
-                {"workload": "dblp", "series": ["old-dblp"]},
+                {"workload": "pokec-sparse", "series": ["old-pokec"]},
             ],
         }
         fresh = {
             "schema_version": SCHEMA_VERSION,
             "quick": True,
-            "workloads": [{"workload": "dblp", "series": ["new-dblp"]}],
+            "workloads": [{"workload": "pokec-sparse", "series": ["new-pokec"]}],
         }
         merged = merge_into(existing, fresh)
         assert merged["schema_version"] == SCHEMA_VERSION
         assert [w["workload"] for w in merged["workloads"]] == [
             "sparse-scaling",
-            "dblp",
+            "pokec-sparse",
         ]
         assert merged["workloads"][0]["series"] == ["old-sparse"]
-        assert merged["workloads"][1]["series"] == ["new-dblp"]
+        assert merged["workloads"][1]["series"] == ["new-pokec"]
 
     def test_merge_into_appends_new_workloads(self):
-        existing = {"workloads": [{"workload": "dblp", "series": []}]}
+        existing = {"workloads": [{"workload": "pokec-sparse", "series": []}]}
         fresh = {
             "schema_version": SCHEMA_VERSION,
             "workloads": [
-                {"workload": "dblp", "series": ["new"]},
-                {"workload": "usflight", "series": ["added"]},
+                {"workload": "pokec-sparse", "series": ["new"]},
+                {"workload": "pokec-xl", "series": ["added"]},
             ],
         }
         merged = merge_into(existing, fresh)
         assert [w["workload"] for w in merged["workloads"]] == [
-            "dblp",
-            "usflight",
+            "pokec-sparse",
+            "pokec-xl",
         ]
 
 
@@ -254,18 +237,18 @@ class TestBenchCli:
         from repro.cli import main
 
         out = tmp_path / "bench.json"
+        kept = {"workload": "pokec-sparse", "series": [], "note": "kept"}
+        out.write_text(json.dumps({"schema_version": 9, "workloads": [kept]}))
+        # Re-measuring one family keeps the other family's entry.
         assert main(["bench", "--quick", "--output", str(out),
-                     "--workload", "usflight"]) == 0
-        first = json.loads(out.read_text())
-        assert [w["workload"] for w in first["workloads"]] == ["usflight"]
-        # Re-measuring another family keeps the usflight entry.
-        assert main(["bench", "--quick", "--output", str(out),
-                     "--workload", "dblp"]) == 0
-        second = json.loads(out.read_text())
-        assert sorted(w["workload"] for w in second["workloads"]) == [
-            "dblp",
-            "usflight",
+                     "--workload", "sparse-scaling"]) == 0
+        document = json.loads(out.read_text())
+        assert document["schema_version"] == SCHEMA_VERSION
+        assert [w["workload"] for w in document["workloads"]] == [
+            "pokec-sparse",
+            "sparse-scaling",
         ]
+        assert document["workloads"][0] == kept
         capsys.readouterr()
 
 
@@ -279,18 +262,11 @@ class TestPokecSparse:
         graph = pokec_sparse_graph(4)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
-            return _measure_size(
-                graph,
-                "communities=4",
-                run_basic_too=False,
-                pair_sources=("overlap",),
-            )
+            return _measure_size(graph, "communities=4")
 
     def test_overlap_only_runs(self, pokec_entry):
         assert set(pokec_entry["runs"]) == {"partial/overlap"}
-        assert pokec_entry["seeding_gain_reduction"] is None
-        assert pokec_entry["partial_wall_speedup"] is None
-        assert pokec_entry["basic_wall_speedup"] is None
+        assert pokec_entry["seeding_gain_reduction"] >= 1.0
 
     def test_chunked_masks_recorded(self, pokec_entry):
         run = pokec_entry["runs"]["partial/overlap"]
@@ -300,8 +276,10 @@ class TestPokecSparse:
         assert pokec_entry["bigint_mask_bytes_estimate"] > 0
 
     def test_summary_handles_null_ratios(self, pokec_entry):
+        # A carried-over schema-v9 entry has no seeding reduction.
+        old = dict(pokec_entry, seeding_gain_reduction=None)
         text = summarize(
-            {"workloads": [{"workload": "pokec-sparse", "series": [pokec_entry]}]}
+            {"workloads": [{"workload": "pokec-sparse", "series": [old]}]}
         )
         assert "pokec-sparse" in text and "chunked" in text
 
@@ -405,21 +383,6 @@ class TestCheckBounds:
             }
         }
         assert check_bounds(self.document(), bounds) == []
-
-    def test_seeding_bound_on_overlap_only_entry_reports_not_crashes(self):
-        # pokec-sparse entries are overlap-only: seeding_gain_reduction
-        # is None.  A (mistaken) bound on it must surface as a failure
-        # message, not a TypeError.
-        document = self.document()
-        entry = document["workloads"][0]["series"][0]
-        entry["seeding_gain_reduction"] = None
-        bounds = {
-            "sparse-scaling": {
-                "communities=48": {"min_seeding_gain_reduction": 2.0}
-            }
-        }
-        failures = check_bounds(document, bounds)
-        assert len(failures) == 1 and "not measured" in failures[0]
 
     def test_mask_memory_reduction_bound(self):
         # The fixture document holds a 10x reduction (1000 / 100).

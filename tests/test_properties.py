@@ -139,7 +139,7 @@ def test_search_dl_monotone_and_consistent(graph):
 @given(graph=attributed_graphs(max_vertices=8))
 @common
 def test_basic_equals_partial(graph):
-    """The exhaustive partial search reproduces Basic's model exactly."""
+    """The lazy partial search reproduces Basic's model exactly."""
     standard = StandardCodeTable.from_graph(graph)
     core = CoreCodeTable.singletons_from_graph(graph)
     db_basic = InvertedDatabase.from_graph(graph)
