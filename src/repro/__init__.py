@@ -13,9 +13,10 @@ The package is organised around the paper's pipeline:
     The paper's primary contribution: the inverted database, MDL
     accounting, the CSPM-Basic and CSPM-Partial search procedures, and
     the a-star scoring module (Algorithm 5).  Position masks
-    (``repro.core.masks``) are whole-graph bigint bitmaps on small
-    graphs and a sparse chunked representation from 16,384 vertices
-    up, picked by graph size — both mine bit-identical models.
+    (``repro.core.masks``) are whole-graph bigint bitmaps or sparse
+    chunked bitmaps at 256, 1024 or 4096 bits per chunk; the builder
+    prices each layout on the rows it is about to hold and picks one.
+    Every layout mines the bit-identical model.
 ``repro.config`` / ``repro.pipeline`` / ``repro.batch``
     The public API surface: the frozen :class:`CSPMConfig`, the
     composable :class:`MiningPipeline` (encode coresets -> inverted DB

@@ -15,8 +15,8 @@ composable :class:`repro.pipeline.MiningPipeline`, the batch runner
 CSPM remains parameter-free in the paper's sense: the knobs select
 *variants* (search strategy, coreset encoder, ablations) and output
 post-filters, not data-dependent thresholds.  How a run executes is
-not a knob either: the mask representation follows the graph's size
-(:mod:`repro.core.masks`) and every worker pool runs the supervisor's
+not a knob either: the database builder picks the mask representation
+from the rows it builds (:mod:`repro.core.masks`) and every worker pool runs the supervisor's
 one fixed policy (:mod:`repro.runtime.supervisor`).
 """
 
@@ -73,8 +73,8 @@ class CSPMConfig:
         Post-filter: drop a-stars whose leafset is smaller than this
         (default 1 = keep all).  Applied with ``top_k``.
     mask_backend:
-        ``"auto"`` is the only value: the position-mask representation
-        is picked from the graph's size (:mod:`repro.core.masks`).  The
+        ``"auto"`` is the only value: the database builder picks the
+        position-mask layout from its rows (:mod:`repro.core.masks`).  The
         field stays so that job documents naming it keep loading, and
         it is never serialised.
     construction:

@@ -11,9 +11,9 @@ Positions are stored as bitmasks over a fixed vertex order — the
 co-occurrence counts behind Eq. 9-15 are position-set intersections,
 and AND+popcount on machine words is what keeps gain computation fast
 at Pokec scale.  The mask *representation* is pluggable
-(:mod:`repro.core.masks`): whole-graph Python ints (``bigint``, the
-default) or sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
-interchangeable, selected per database at construction.  The
+(:mod:`repro.core.masks`): whole-graph Python ints (``bigint``) or
+sparse dict-of-chunk bitmaps (``chunked``) — bit-exact
+interchangeable, priced and picked per database at construction.  The
 vertex->bit table is precomputed once per construction (in
 first-touch order over repr-sorted coresets, so community positions
 land in adjacent bits) and shared by every mask the database owns;
@@ -58,7 +58,12 @@ from typing import (
 import numpy as np
 
 from repro.core.candidates import LeafsetInterner, leafset_sort_key
-from repro.core.masks import MaskBackend, BigintMaskBackend, bigint_mask_bytes
+from repro.core.masks import (
+    BigintMaskBackend,
+    MaskBackend,
+    bigint_mask_bytes,
+    resolve_backend,
+)
 from repro.errors import MiningError
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import current
@@ -230,8 +235,10 @@ class InvertedDatabase:
             omitted, every attribute value is its own singleton coreset
             at every vertex carrying it.
         mask_backend:
-            The position-mask representation (:mod:`repro.core.masks`);
-            defaults to whole-graph bigint masks.
+            The position-mask representation (:mod:`repro.core.masks`).
+            When omitted, the builder prices every layout on its first
+            block of rows and picks one
+            (:func:`repro.core.masks.resolve_backend`).
 
         Every initial row is ``(Sc, {leaf value})`` with positions the
         vertices where ``Sc`` holds and some neighbour carries the leaf
@@ -254,7 +261,10 @@ class InvertedDatabase:
             plan = db._plan_coresets(coreset_positions)
         with obs.span("build.rows", coresets=len(plan)):
             db._build_rows(
-                plan, graph.neighbor_values, graph.attribute_values()
+                plan,
+                graph.neighbor_values,
+                graph.attribute_values(),
+                choose_layout=mask_backend is None,
             )
         db._finalise_construction()
         return db
@@ -353,6 +363,7 @@ class InvertedDatabase:
         plan: Mapping[CoreKey, List[Vertex]],
         values_of: Callable[[Vertex], FrozenSet[Value]],
         universe: Iterable[Value],
+        choose_layout: bool = False,
     ) -> None:
         """Phase 2, columnar: collect whole rows, materialise in bulk.
 
@@ -371,6 +382,13 @@ class InvertedDatabase:
         once per vertex) and ``universe`` must cover every value
         ``values_of`` can return (a superset is fine: ordinals are
         internal, only their relative order matters).
+
+        ``choose_layout`` replaces the database's mask backend, before
+        any mask exists, with the layout
+        :func:`~repro.core.masks.resolve_backend` picks from the first
+        block's rows.  Blocks end on coreset boundaries, so the first
+        block, and with it the choice, is a function of the graph
+        alone.
 
         Grouping is vectorised: flat (core, leaf, bit) triple columns,
         one sort per block of whole coresets, rows read off the group
@@ -392,13 +410,11 @@ class InvertedDatabase:
         ordinal_of = {value: i for i, value in enumerate(ordered_values)}
         leaf_by_ordinal = [frozenset((value,)) for value in ordered_values]
 
-        masks = self._masks
         rows = self._rows
         row_freq = self._row_freq
         leaf_to_cores = self._leaf_to_cores
         core_to_leaves = self._core_to_leaves
         core_freq = self._core_freq
-        make_batch = masks.make_batch
         rows_update = rows.update
         row_freq_update = row_freq.update
         vertex_rowinfo: Dict[Vertex, Tuple] = {}
@@ -414,6 +430,7 @@ class InvertedDatabase:
         bits_extend = bits_flat.extend
 
         def flush() -> None:
+            nonlocal choose_layout
             count = len(cores_flat)
             if not count:
                 return
@@ -445,6 +462,9 @@ class InvertedDatabase:
             row_change[1:] |= cores_a[1:] != cores_a[:-1]
             starts = np.flatnonzero(row_change)
             counts_a = np.diff(np.append(starts, count))
+            if choose_layout:
+                self._masks = resolve_backend(bits_a, starts)
+                choose_layout = False
             bits_list = bits_a.tolist()
             bounds = starts.tolist()
             bounds.append(count)
@@ -452,7 +472,7 @@ class InvertedDatabase:
             bit_lists = [
                 bits_list[bounds[i] : bounds[i + 1]] for i in range(num_rows)
             ]
-            built = make_batch(bit_lists)
+            built = self._masks.make_batch(bit_lists)
             row_cores_a = cores_a[starts]
             row_ords_a = ords_a[starts]
             # Row keys, masks, frequencies and the construction-order

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Sequence
 
+import numpy as np
+
 Mask = Any
 
 # CPython's int layout: ~28-byte header plus one 4-byte digit per 30
@@ -60,6 +62,17 @@ def int_value_bytes(value: int) -> int:
     return bigint_mask_bytes(max(1, value.bit_length())) if value else _INT_HEADER_BYTES
 
 
+def int_array_bytes(bit_lengths: np.ndarray) -> int:
+    """Summed :func:`int_value_bytes` of non-zero ints of these bit lengths."""
+    digits = (bit_lengths + (_BITS_PER_DIGIT - 1)) // _BITS_PER_DIGIT
+    return int(len(bit_lengths) * _INT_HEADER_BYTES + _DIGIT_BYTES * digits.sum())
+
+
+def run_ends(starts: np.ndarray, count: int) -> np.ndarray:
+    """Index of the last element of each run that begins at ``starts``."""
+    return np.append(starts[1:], count) - 1
+
+
 class MaskBackend:
     """Abstract strategy for one position-mask representation.
 
@@ -71,6 +84,15 @@ class MaskBackend:
 
     #: Registry name (``"bigint"`` / ``"chunked"``).
     name: str = "abstract"
+
+    #: Bits per chunk; 0 for a layout without chunks (one whole-graph
+    #: int per mask).
+    chunk_bits: int = 0
+
+    @property
+    def layout(self) -> str:
+        """The name plus the chunk width, e.g. ``"chunked/4096"``."""
+        return f"{self.name}/{self.chunk_bits}" if self.chunk_bits else self.name
 
     # -- construction --------------------------------------------------
 
@@ -200,6 +222,17 @@ class MaskBackend:
 
         An analytic estimate (not ``sys.getsizeof`` walks) so the perf
         suite's recorded numbers are machine-independent.
+        """
+        raise NotImplementedError
+
+    def rows_bytes(self, bits: np.ndarray, starts: np.ndarray) -> int:
+        """Summed :meth:`mask_bytes` of the masks these rows would make.
+
+        ``bits`` holds every row's ascending, duplicate-free bit list
+        back to back and ``starts`` each row's first index in it (the
+        columnar builder's sorted block).  Priced in numpy, before any
+        mask exists, so the builder can compare layouts and
+        materialise only the one it picks.
         """
         raise NotImplementedError
 

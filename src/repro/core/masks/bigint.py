@@ -3,16 +3,25 @@
 The seed's representation, extracted behind the backend protocol with
 zero behavioural change: a mask is a plain non-negative ``int`` over
 the whole vertex order, and every operation is a single big-int machine
-op.  This stays the default for graphs below the auto-selection
-threshold — Python ints beat any chunked layout while ``|V|`` fits in a
-few machine words.
+op.  Python ints beat any chunked layout while a row's bit span fits
+in a few machine words, so the builder picks this layout when rows sit
+low in the vertex order, as on small graphs (see
+:func:`repro.core.masks.resolve_backend`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
-from repro.core.masks.base import MaskBackend, int_value_bytes, iter_int_bits
+import numpy as np
+
+from repro.core.masks.base import (
+    MaskBackend,
+    int_array_bytes,
+    int_value_bytes,
+    iter_int_bits,
+    run_ends,
+)
 
 
 def _int_from_sorted_bits(bits: Sequence[int]) -> int:
@@ -91,3 +100,7 @@ class BigintMaskBackend(MaskBackend):
 
     def mask_bytes(self, mask: int) -> int:
         return int_value_bytes(mask)
+
+    def rows_bytes(self, bits: np.ndarray, starts: np.ndarray) -> int:
+        # A row's int spans up to its highest bit, the row's last.
+        return int_array_bytes(bits[run_ends(starts, len(bits))] + 1)

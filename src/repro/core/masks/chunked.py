@@ -22,7 +22,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence
 
-from repro.core.masks.base import MaskBackend, int_value_bytes, iter_int_bits
+import numpy as np
+
+from repro.core.masks.base import (
+    MaskBackend,
+    int_array_bytes,
+    int_value_bytes,
+    iter_int_bits,
+    run_ends,
+)
 
 ChunkMask = Dict[int, int]
 
@@ -200,3 +208,19 @@ class ChunkedMaskBackend(MaskBackend):
         for word in mask.values():
             total += _SLOT_BYTES + int_value_bytes(word)
         return total
+
+    def rows_bytes(self, bits: np.ndarray, starts: np.ndarray) -> int:
+        # One dict per row, one slot and one int per (row, chunk) run;
+        # a chunk's int spans up to its run's last bit.
+        count = len(bits)
+        chunks = bits >> self._shift
+        new_chunk = np.empty(count, dtype=bool)
+        new_chunk[:1] = True
+        np.not_equal(chunks[1:], chunks[:-1], out=new_chunk[1:])
+        new_chunk[starts] = True
+        ends = run_ends(np.flatnonzero(new_chunk), count)
+        return (
+            len(starts) * _DICT_HEADER_BYTES
+            + len(ends) * _SLOT_BYTES
+            + int_array_bytes((bits[ends] & self._low) + 1)
+        )

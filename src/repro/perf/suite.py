@@ -22,9 +22,20 @@ Workloads
     scaled to hundreds of thousands of vertices — the regime the
     ROADMAP's pokec scale-ceiling item names.  Whole-graph bigint
     masks are *infeasible* here (every row would pay ``O(|V|)`` bytes;
-    the recorded ``bigint_mask_bytes_estimate`` shows gigabytes), so
-    the size rule of :mod:`repro.core.masks` puts every member (20,000
-    vertices and up) on the sparse ``chunked`` backend.
+    the recorded ``bigint_mask_bytes_estimate`` shows gigabytes).  Each
+    row holds one community's positions, a short run of adjacent bits,
+    so the builder's layout pricing (:mod:`repro.core.masks`) puts
+    every member (20,000 vertices and up) on 256-bit chunks.
+``pokec-dense``
+    The dense side of the layout choice: the pokec dataset analogue
+    (:func:`repro.datasets.synthetic.pokec_like`), four large
+    music-taste communities with heavy cross-community wiring.  Its
+    rows are long runs spread over the vertex order, so the builder
+    prices 4096-bit chunks cheapest-within-slack; 256-bit chunks would
+    hold more bytes than whole-graph bigint masks.  The quick member
+    (``scale=0.02``, ~32,700 vertices) gates that choice through the
+    build-time mask-memory reduction; the full suite adds the
+    benchmark's dense-social size (``scale=0.05``).
 ``pokec-xl``
     True paper scale (schema v4): the same family at the source
     paper's pokec size — 32 000 communities = 800k vertices, and
@@ -42,15 +53,18 @@ bits) plus — schema v3 — the resolved ``mask_backend`` and
 ``mask_peak_bytes`` (the larger of the mask memory held just after
 construction and at convergence; every series entry also carries the
 ``bigint_mask_bytes_estimate`` reference, so the chunked backends'
-memory reduction is a recorded, assertable ratio).  The run records
+memory reduction is a recorded, assertable ratio).  Entries and runs
+also record ``mask_chunk_bits`` (0 for bigint), and entries the mask
+memory just after construction, ``mask_build_bytes``, which is what
+the builder's layout pricing minimises.  The run records
 the library default update scope (``lazy``) in its ``update_scope``
 field.  Counters are structural — determined by the graph, not the
 machine — so CI asserts regressions on them (``--check
 benchmarks/perf_bounds.json``) instead of on flaky wall-clock
 thresholds; wall-clock is recorded for the human-readable trajectory.
 Mask backends are bit-exact interchangeable (the tier-1 equivalence
-tests pin it), so the counters do not depend on which one the size
-rule picks.
+tests pin it), so the counters do not depend on which layout the
+builder picks.
 
 Schema v4 adds the construction layer: every series entry records
 ``construction_seconds`` (the ``BuildInvertedDB`` wall-clock for that
@@ -85,7 +99,7 @@ with their quick/full member sizes instead of running anything.
 
 Schema v8 drops four top-level keys: ``mask_backend`` and the three
 supervisor-policy keys (the per-task deadline, the retry budget and
-the failure mode).  The mask backend follows each graph's size (still
+the failure mode).  The builder picks each graph's mask layout (still
 recorded per series entry and run) and the supervisor runs one fixed
 policy.
 
@@ -122,7 +136,9 @@ Output document (``BENCH_cspm.json``, schema v10)::
               "num_vertices": int, "num_leafsets": int,
               "possible_pairs": int,
               "mask_backend": "bigint",          # resolved for this graph
+              "mask_chunk_bits": 0,              # chunk width, 0 = bigint
               "bigint_mask_bytes_estimate": int, # whole-graph-int reference
+              "mask_build_bytes": int,           # mask bytes after the build
               "construction_seconds": float,     # BuildInvertedDB wall-clock
               "construction_baseline_seconds": float,  # where recorded
               "runs": {
@@ -138,6 +154,7 @@ Output document (``BENCH_cspm.json``, schema v10)::
                   "iterations": int,
                   "final_dl_bits": float,
                   "mask_backend": "bigint",
+                  "mask_chunk_bits": 0,
                   "mask_peak_bytes": int
                 }
               },
@@ -160,7 +177,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import CSPMConfig
 from repro.core.cspm_partial import run_partial
-from repro.datasets.synthetic import community_attributed_graph
+from repro.datasets.synthetic import community_attributed_graph, pokec_like
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.obs import (
     MetricsRegistry,
@@ -178,6 +195,7 @@ WORKLOAD_NAMES = (
     "sparse-scaling",
     "pokec-sparse",
     "pokec-xl",
+    "pokec-dense",
 )
 
 # The sparse community family: disjoint 6-value pools, 25 vertices per
@@ -199,6 +217,11 @@ SPARSE_SIZES_FULL = (16, 32, 48, 64)
 # gates apply to either document).
 POKEC_SIZES_QUICK = (800,)
 POKEC_SIZES_FULL = (800, 2000, 8000)
+
+# The pokec-dense family: ``pokec_like`` scales.  The quick member has
+# ~32,700 vertices; 0.05 is the benchmark's dense-social graph.
+POKEC_DENSE_SCALES_QUICK = (0.02,)
+POKEC_DENSE_SCALES_FULL = (0.02, 0.05)
 
 # The pokec-xl paper-scale family: 32 000 communities = 800k vertices
 # and 64 000 = 1.6M — the source paper's pokec size.  Full suite only;
@@ -320,6 +343,7 @@ def _run_case(
         "iterations": trace.num_iterations,
         "final_dl_bits": trace.final_dl_bits,
         "mask_backend": db.mask_backend.name,
+        "mask_chunk_bits": db.mask_backend.chunk_bits,
         # A two-point sample: the larger of mask memory just after
         # construction and at convergence.  Positions are conserved
         # but a merge can transiently split a touched row into up to
@@ -347,12 +371,13 @@ def _measure_size(
     db0, standard, core, initial_bits, construction_seconds = _prepare(graph)
     num_leafsets = db0.num_leafsets
     possible_pairs = num_leafsets * (num_leafsets - 1) // 2
+    build_mask_bytes = db0.mask_memory_bytes()
     run = _run_case(
         db0,
         standard,
         core,
         initial_bits,
-        db0.mask_memory_bytes(),
+        build_mask_bytes,
         metrics=metrics,
     )
     entry: Dict[str, Any] = {
@@ -361,7 +386,9 @@ def _measure_size(
         "num_leafsets": num_leafsets,
         "possible_pairs": possible_pairs,
         "mask_backend": db0.mask_backend.name,
+        "mask_chunk_bits": db0.mask_backend.chunk_bits,
         "bigint_mask_bytes_estimate": db0.bigint_mask_bytes_estimate(),
+        "mask_build_bytes": build_mask_bytes,
         "construction_seconds": round(construction_seconds, 6),
         "runs": {"partial/overlap": run},
         # The full scan seeds exactly one gain per possible pair.
@@ -411,6 +438,13 @@ def workload_catalog() -> List[Dict[str, Any]]:
             "quick": [],
             "full": communities(POKEC_XL_SIZES_FULL),
             "runs": "partial/overlap, chunked masks (full suite only)",
+        },
+        {
+            "workload": "pokec-dense",
+            "kind": "dataset-analogue",
+            "quick": [f"scale={s}" for s in POKEC_DENSE_SCALES_QUICK],
+            "full": [f"scale={s}" for s in POKEC_DENSE_SCALES_FULL],
+            "runs": "partial/overlap, masks priced by the builder",
         },
     ]
 
@@ -511,6 +545,22 @@ def run_suite(
                 "kind": "synthetic-community",
                 "pool_size": SPARSE_POOL_SIZE,
                 "community_size": SPARSE_COMMUNITY_SIZE,
+                "series": series,
+            }
+        )
+
+    if wanted("pokec-dense"):
+        scales = POKEC_DENSE_SCALES_QUICK if quick else POKEC_DENSE_SCALES_FULL
+        series = []
+        for scale in scales:
+            say(f"pokec-dense: scale={scale} ...")
+            graph = pokec_like(scale=scale, seed=seed)
+            series.append(measure(graph, f"scale={scale}", "pokec-dense"))
+        workloads.append(
+            {
+                "workload": "pokec-dense",
+                "kind": "dataset-analogue",
+                "dataset": "pokec",
                 "series": series,
             }
         )
@@ -616,6 +666,12 @@ def check_bounds(
         of the overlap run — the chunked backends' raison d'être.  The
         estimates are analytic (machine-independent), so the ratio is
         as deterministic as the counters.
+    ``min_build_mask_memory_reduction``
+        Lower bound on ``bigint_mask_bytes_estimate / mask_build_bytes``:
+        the same ratio taken just after construction, the rows the
+        builder's layout pricing sees.  On a dense graph the end-of-run
+        masks dominate the peak, so this is the ratio that gates the
+        layout choice.
     ``require_mask_backend``
         Exact expected resolved backend name for the overlap run
         (guards the pokec family against silently falling back to
@@ -701,6 +757,17 @@ def check_bounds(
                         f"{workload_name}/{label}: mask memory reduction "
                         f"{reduction:.2f}x (bigint estimate {estimate} / "
                         f"peak {peak}) < bound {floor}"
+                    )
+            floor = constraints.get("min_build_mask_memory_reduction")
+            if floor is not None:
+                estimate = entry.get("bigint_mask_bytes_estimate", 0)
+                built = entry.get("mask_build_bytes", 0)
+                reduction = estimate / built if built else 0.0
+                if reduction < floor:
+                    failures.append(
+                        f"{workload_name}/{label}: build mask memory "
+                        f"reduction {reduction:.2f}x (bigint estimate "
+                        f"{estimate} / built {built}) < bound {floor}"
                     )
             expected = constraints.get("require_mask_backend")
             if expected is not None and overlap.get("mask_backend") != expected:

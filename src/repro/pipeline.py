@@ -50,7 +50,6 @@ from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.instrumentation import RunTrace
 from repro.core.inverted_db import InvertedDatabase
-from repro.core.masks import resolve_backend
 from repro.core.mdl import (
     DescriptionLength,
     description_length,
@@ -198,11 +197,15 @@ class EncodeCoresets(PipelineStage):
 class BuildInvertedDB(PipelineStage):
     """Step 2 of Algorithm 1: the inverted database and the initial DL.
 
-    The position-mask backend follows the graph's size
-    (:func:`repro.core.masks.resolve_backend` — bigint for small
-    graphs, chunked sparse bitmaps from 16,384 vertices); the database
-    is built in-process by the columnar batch builder, the only build
-    path.
+    The database is built in-process by the columnar batch builder,
+    the only build path.  The builder picks the position-mask layout
+    from the rows it is about to materialise: it prices bigint and
+    chunked masks at 256, 1024 and 4096 bits on its first block of
+    rows and keeps the widest within 1.25x of the cheapest
+    (:func:`repro.core.masks.resolve_backend`).  The ``build``
+    progress note names the layout (``layout=chunked/4096``), and
+    with metrics on the ``build.mask_chunk_bits`` gauge records its
+    chunk width (0 for bigint).
     The stage records the construction wall-clock in
     ``context.extras["construction_seconds"]`` (the perf suite's
     schema-v4 metric).
@@ -216,13 +219,10 @@ class BuildInvertedDB(PipelineStage):
 
     def run(self, context: PipelineContext) -> None:
         obs = current()
-        backend = resolve_backend(context.graph.num_vertices)
         with obs.span("mine.build"):
             start = clock.perf_counter()
             context.inverted_db = InvertedDatabase.from_graph(
-                context.graph,
-                context.coreset_positions,
-                mask_backend=backend,
+                context.graph, context.coreset_positions
             )
             elapsed = clock.perf_counter() - start
             context.extras["construction_seconds"] = elapsed
@@ -236,8 +236,14 @@ class BuildInvertedDB(PipelineStage):
             obs.metrics.gauge("build.mask_memory_bytes").set(
                 db.mask_memory_bytes()
             )
+            obs.metrics.gauge("build.mask_chunk_bits").set(
+                db.mask_backend.chunk_bits
+            )
         obs.progress.note(
-            "build", rows=db.num_rows, seconds=round(elapsed, 3)
+            "build",
+            rows=db.num_rows,
+            layout=db.mask_backend.layout,
+            seconds=round(elapsed, 3),
         )
 
 

@@ -27,11 +27,12 @@ from repro.graphs.builders import paper_running_example
 from repro.graphs.generators import PlantedAStar, planted_astar_graph
 from repro.graphs.io import save_json
 
-# Production defaults plus the chunk-boundary stress variants from
-# tests/test_mask_backends.py.
+# Production defaults, the wide chunks dense graphs get, and the
+# chunk-boundary stress variant from tests/test_mask_backends.py.
 ALL_BACKENDS = [
     BigintMaskBackend(),
     ChunkedMaskBackend(),
+    ChunkedMaskBackend(chunk_bits=4096),
     ChunkedMaskBackend(chunk_bits=64),
 ]
 
@@ -135,6 +136,29 @@ class TestColumnarEquivalence:
         blocked = InvertedDatabase.from_graph(graph)
         assert fingerprint(blocked) == reference
 
+    def test_layout_priced_once_on_the_first_block(self, monkeypatch):
+        # The builder prices layouts on its first flush only, and not
+        # at all when the caller passes a backend.
+        import repro.core.inverted_db as inverted_db
+
+        priced = []
+
+        def spy(bits, starts):
+            priced.append(len(bits))
+            return ChunkedMaskBackend(chunk_bits=4096)
+
+        monkeypatch.setattr(inverted_db, "resolve_backend", spy)
+        monkeypatch.setattr(InvertedDatabase, "_GROUP_BLOCK_TRIPLES", 16)
+        graph = random_graph(5)
+        db = InvertedDatabase.from_graph(graph)
+        assert len(priced) == 1 and priced[0] >= 16
+        assert db.mask_backend.layout == "chunked/4096"
+        explicit = InvertedDatabase.from_graph(
+            graph, mask_backend=ChunkedMaskBackend(chunk_bits=4096)
+        )
+        assert len(priced) == 1
+        assert fingerprint(db) == fingerprint(explicit)
+
 
 VALUES = ["a", "b", "c", "d", "e"]
 
@@ -169,6 +193,7 @@ def test_property_columnar_matches_triples(graph):
     for backend in (
         BigintMaskBackend(),
         ChunkedMaskBackend(chunk_bits=64),
+        ChunkedMaskBackend(chunk_bits=4096),
     ):
         triple = InvertedDatabase._from_graph_triples(
             graph, mask_backend=backend

@@ -17,6 +17,7 @@ database was built on.  This file pins that contract three ways:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,8 @@ from repro.core.cspm_basic import run_basic
 from repro.core.cspm_partial import run_partial
 from repro.core.inverted_db import InvertedDatabase
 from repro.core.masks import (
-    AUTO_CHUNKED_MIN_BITS,
+    LAYOUT_SLACK,
+    LAYOUTS,
     BigintMaskBackend,
     ChunkedMaskBackend,
     bigint_mask_bytes,
@@ -42,17 +44,36 @@ BACKEND_NAMES = tuple(BACKEND_CLASSES)
 
 # Small-chunk variants stress the chunk boundaries far harder than the
 # production defaults on the same bit ranges; the 1024-bit variant puts
-# most of BOUNDARY_BITS inside one chunk and 1024/1025 across its edge.
+# most of BOUNDARY_BITS inside one chunk and 1024/1025 across its edge,
+# the 4096-bit one (the layout dense graphs get) 4096/4097 across its.
 ALL_BACKENDS = [
     BigintMaskBackend(),
     ChunkedMaskBackend(),
     ChunkedMaskBackend(chunk_bits=64),
     ChunkedMaskBackend(chunk_bits=1024),
+    ChunkedMaskBackend(chunk_bits=4096),
 ]
 
-# Bits chosen to land on every interesting boundary of 64/256/1024-bit
-# chunks: bit 0, last bit of a chunk, first bit of the next.
-BOUNDARY_BITS = (0, 1, 63, 64, 65, 255, 256, 257, 511, 1023, 1024, 1025)
+# Bits chosen to land on every interesting boundary of 64/256/1024/4096
+# -bit chunks: bit 0, last bit of a chunk, first bit of the next.
+BOUNDARY_BITS = (
+    0, 1, 63, 64, 65, 255, 256, 257, 511, 1023, 1024, 1025, 4095, 4096, 4097,
+)
+
+# The layouts the whole-pipeline == suites mine on: both backends at
+# their defaults, plus the wide chunks the builder picks on dense rows.
+MINING_BACKENDS = {
+    "bigint": BigintMaskBackend(),
+    "chunked": ChunkedMaskBackend(),
+    "chunked/4096": ChunkedMaskBackend(chunk_bits=4096),
+}
+
+
+def row_columns(rows):
+    """The builder's flat layout of ``rows``: bits and row starts."""
+    bits = np.array([bit for row in rows for bit in row], dtype=np.int64)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    return bits, starts.astype(np.int64)
 
 
 def ref_mask(bits):
@@ -83,7 +104,7 @@ class TestBackendOps:
         assert backend.popcount(mask) == len(BOUNDARY_BITS)
         for bit in BOUNDARY_BITS:
             assert backend.has_bit(mask, bit)
-        for bit in (2, 62, 66, 254, 258, 1022, 1026):
+        for bit in (2, 62, 66, 254, 258, 1022, 1026, 4094, 4098):
             assert not backend.has_bit(mask, bit)
 
     def test_set_bit_matches_make(self, backend):
@@ -101,7 +122,7 @@ class TestBackendOps:
             [0],
             [5, 5, 70, 300],
             sorted(BOUNDARY_BITS),
-            sorted(BOUNDARY_BITS) + [1025, 1025],
+            sorted(BOUNDARY_BITS + (1025, 4097)),
             [63, 64],
             [2000],
         ]
@@ -185,8 +206,8 @@ class TestBackendOps:
 
     def test_empty_overlap_at_chunk_edges(self, backend):
         # Adjacent bits in different chunks must not report overlap.
-        left = backend.make((63, 255, 1023))
-        right = backend.make((64, 256, 1024))
+        left = backend.make((63, 255, 1023, 4095))
+        right = backend.make((64, 256, 1024, 4096))
         assert not backend.union_overlaps(left, right)
         assert backend.and_count(left, right) == 0
         assert backend.is_empty(backend.and_(left, right))
@@ -214,6 +235,28 @@ class TestBackendOps:
         assert backend.mask_bytes(backend.empty()) >= 0
         assert backend.mask_bytes(sparse) > 0
         assert backend.mask_bytes(spread) >= backend.mask_bytes(sparse)
+
+    @given(
+        rows=st.lists(
+            st.sets(st.integers(min_value=0, max_value=20_000), min_size=1,
+                    max_size=40).map(sorted),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_property_rows_bytes_is_what_the_masks_hold(self, backend, rows):
+        # The builder's pricing is exact: it equals the summed
+        # mask_bytes of the masks make_batch then builds.
+        bits, starts = row_columns(rows)
+        built = backend.make_batch(rows)
+        assert backend.rows_bytes(bits, starts) == sum(
+            backend.mask_bytes(mask) for mask in built
+        )
 
     @given(
         bits_a=st.sets(st.integers(min_value=0, max_value=1100), max_size=60),
@@ -248,20 +291,107 @@ class TestRegistry:
             with pytest.raises(ConfigError, match=r"\('auto',\)"):
                 CSPMConfig(mask_backend=name)
 
-    def test_auto_resolves_by_size(self):
-        assert resolve_backend(0).name == "bigint"
-        assert resolve_backend(100).name == "bigint"
-        assert resolve_backend(AUTO_CHUNKED_MIN_BITS - 1).name == "bigint"
-        assert resolve_backend(AUTO_CHUNKED_MIN_BITS).name == "chunked"
+    def test_layout_names(self):
+        assert BigintMaskBackend().layout == "bigint"
+        assert BigintMaskBackend().chunk_bits == 0
+        assert ChunkedMaskBackend().layout == "chunked/256"
+        assert ChunkedMaskBackend(chunk_bits=4096).layout == "chunked/4096"
+        assert [layout.layout for layout in LAYOUTS] == [
+            "chunked/256", "chunked/1024", "chunked/4096", "bigint",
+        ]
+        assert LAYOUT_SLACK == 1.25
 
-    def test_size_rule_on_the_benchmark_graphs(self):
-        # The largest batch-small graph stays on bigint; the
-        # sparse-communities (30,000 vertices) and dense-social
-        # (81,640 vertices) graphs get chunked masks.
-        assert AUTO_CHUNKED_MIN_BITS == 16384
-        assert resolve_backend(2723).name == "bigint"
-        assert resolve_backend(30000).name == "chunked"
-        assert resolve_backend(81640).name == "chunked"
+
+def layout_rows(offset, num_rows=50, bits_per_row=4, stride=1, gap=5000):
+    """``num_rows`` equal rows, the i-th starting at ``offset + i * gap``.
+
+    Every row holds ``bits_per_row`` bits ``stride`` apart, so all rows
+    have the same size and density and differ only in where they sit
+    in the vertex order.
+    """
+    return [
+        [offset + i * gap + k * stride for k in range(bits_per_row)]
+        for i in range(num_rows)
+    ]
+
+
+class TestDensityRule:
+    """The builder picks the layout from the rows, not from ``|V|``.
+
+    Every row below is sparse against a 250,000-bit vertex order; what
+    changes is how tightly its bits sit and where it starts.
+    """
+
+    def pick(self, rows):
+        return resolve_backend(*row_columns(rows)).layout
+
+    def test_rows_near_the_start_stay_on_bigint(self):
+        # A short bit span is a few machine words whatever the density.
+        assert self.pick(layout_rows(0, gap=0)) == "bigint"
+        assert self.pick(layout_rows(0, bits_per_row=64, stride=8, gap=0)) == (
+            "bigint"
+        )
+
+    def test_tight_runs_far_up_the_order_get_narrow_chunks(self):
+        # Four adjacent bits at the top of a 4096-bit chunk: one small
+        # word at 256 bits, a 4096-bit word at 4096, a huge span as an
+        # int.  The community rows of sparse graphs look like this.
+        rows = layout_rows(4096 * 10 + 3840, gap=4096 * 5)
+        assert self.pick(rows) == "chunked/256"
+
+    def test_spread_rows_far_up_the_order_get_wide_chunks(self):
+        # The same far-away rows, each with 512 bits 8 apart: 4096 bits
+        # of it touch sixteen 256-bit chunks but one 4096-bit chunk.
+        # The neighbourhood rows of dense social graphs look like this.
+        rows = layout_rows(4096 * 10, bits_per_row=512, stride=8, gap=4096 * 5)
+        assert self.pick(rows) == "chunked/4096"
+
+    def test_widest_layout_within_the_slack_wins(self):
+        rows = layout_rows(4096 * 10, bits_per_row=512, stride=8, gap=4096 * 5)
+        bits, starts = row_columns(rows)
+        prices = {
+            layout.layout: layout.rows_bytes(bits, starts) for layout in LAYOUTS
+        }
+        cheapest = min(prices.values())
+        assert prices["chunked/4096"] <= cheapest * LAYOUT_SLACK
+        assert prices["bigint"] > cheapest * LAYOUT_SLACK
+
+    @pytest.mark.parametrize(
+        "graph, layout",
+        [
+            ("dense-social", "chunked/4096"),
+            ("sparse-communities", "chunked/256"),
+            ("batch-small", "bigint"),
+        ],
+    )
+    def test_benchmark_graphs(self, graph, layout):
+        # Seed-0 graphs of the end-to-end benchmark.  Of the batch
+        # graphs, dblp-trend comes closest to chunks: its 256-bit
+        # chunks price 7% under bigint, inside the slack.
+        from repro.config import CSPMConfig
+        from repro.datasets import load_dataset
+        from repro.datasets.synthetic import community_attributed_graph
+        from repro.pipeline import EncodeCoresets, PipelineContext
+
+        if graph == "dense-social":
+            built = load_dataset("pokec", scale=0.05, seed=0)
+        elif graph == "sparse-communities":
+            built = community_attributed_graph(
+                community_sizes=[25] * 1200,
+                community_pools=[
+                    [f"c{c}v{v}" for v in range(6)] for c in range(1200)
+                ],
+                values_per_vertex=(2, 3),
+                intra_degree=2.5,
+                inter_degree=0.05,
+                seed=0,
+            )
+        else:
+            built = load_dataset("dblp-trend", scale=1.0, seed=1)
+        context = PipelineContext(graph=built, config=CSPMConfig())
+        EncodeCoresets().run(context)
+        db = InvertedDatabase.from_graph(built, context.coreset_positions)
+        assert db.mask_backend.layout == layout
 
     def test_chunk_width_validation(self):
         with pytest.raises(ValueError):
@@ -291,7 +421,7 @@ def random_graph(seed, num_vertices=45, num_edges=110):
 
 
 def setup(graph, backend_name):
-    backend = BACKEND_CLASSES[backend_name]()
+    backend = MINING_BACKENDS[backend_name]
     return (
         InvertedDatabase.from_graph(graph, mask_backend=backend),
         StandardCodeTable.from_graph(graph),
@@ -319,7 +449,7 @@ class TestMiningEquivalence:
     def test_partial_lazy_bit_exact_across_backends(self, seed):
         graph = random_graph(seed)
         reference = None
-        for name in BACKEND_NAMES:
+        for name in MINING_BACKENDS:
             db, standard, core = setup(graph, name)
             trace = run_partial(db, standard, core)
             db.validate(graph)
@@ -333,7 +463,7 @@ class TestMiningEquivalence:
     def test_basic_bit_exact_across_backends(self, seed):
         graph = random_graph(seed)
         reference = None
-        for name in BACKEND_NAMES:
+        for name in MINING_BACKENDS:
             db, standard, core = setup(graph, name)
             trace = run_basic(db, standard, core)
             key = run_key(db, trace)
@@ -342,9 +472,25 @@ class TestMiningEquivalence:
             else:
                 assert key == reference, f"backend {name} diverged"
 
+    def test_dense_graph_bit_exact_across_backends(self):
+        # A dense social graph whose vertex order spans three 4096-bit
+        # chunks, so rows and unions cross the wide layout's edges.
+        from repro.datasets import load_dataset
+
+        graph = load_dataset("pokec", scale=0.0052, seed=0)
+        assert graph.num_vertices > 2 * 4096
+        reference = None
+        for name in MINING_BACKENDS:
+            db, standard, core = setup(graph, name)
+            key = run_key(db, run_partial(db, standard, core))
+            if reference is None:
+                reference = key
+            else:
+                assert key == reference, f"backend {name} diverged"
+
     def test_merge_outcomes_equivalent(self):
         graph = random_graph(11)
-        dbs = {name: setup(graph, name)[0] for name in BACKEND_NAMES}
+        dbs = {name: setup(graph, name)[0] for name in MINING_BACKENDS}
         ref_db = dbs["bigint"]
         for _step in range(5):
             # Re-pick after every merge: earlier merges may have
@@ -415,7 +561,7 @@ def attributed_graphs(draw, max_vertices=10):
 )
 def test_property_backends_mine_identically(graph):
     reference = None
-    for name in BACKEND_NAMES:
+    for name in MINING_BACKENDS:
         db, standard, core = setup(graph, name)
         trace = run_partial(db, standard, core)
         key = run_key(db, trace)
@@ -428,7 +574,7 @@ def test_property_backends_mine_identically(graph):
 class TestInitialDescriptionLength:
     """Satellite: the DL pass folded into database construction."""
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("name", MINING_BACKENDS)
     def test_matches_full_recompute_exactly(self, name):
         graph = random_graph(2)
         db, standard, core = setup(graph, name)

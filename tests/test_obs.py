@@ -19,8 +19,10 @@ import pytest
 
 from repro.batch import fit_many
 from repro.cli import main as cli_main
+import repro.core.masks as masks
 from repro.config import CSPMConfig
 from repro.core.instrumentation import RunTrace
+from repro.core.masks import ChunkedMaskBackend
 from repro.core.miner import CSPM
 from repro.graphs.attributed_graph import AttributedGraph
 from repro.graphs.builders import paper_running_example
@@ -421,6 +423,29 @@ class TestPipelineSpans:
         assert context.obs.metrics.snapshot()["gauges"][
             "encode.num_coresets"
         ] > 0
+
+    @pytest.mark.parametrize(
+        "layouts, layout, chunk_bits",
+        [
+            (None, "bigint", 0),
+            ((ChunkedMaskBackend(chunk_bits=4096),), "chunked/4096", 4096),
+        ],
+    )
+    def test_build_names_the_picked_layout(
+        self, monkeypatch, capsys, layouts, layout, chunk_bits
+    ):
+        # The paper graph prices bigint cheapest; a one-layout list
+        # makes the builder pick wide chunks instead.
+        if layouts is not None:
+            monkeypatch.setattr(masks, "LAYOUTS", layouts)
+        config = CSPMConfig(metrics=True, progress=True)
+        context = MiningPipeline.default(config).run_context(
+            paper_running_example()
+        )
+        gauges = context.obs.metrics.snapshot()["gauges"]
+        assert gauges["build.mask_chunk_bits"] == chunk_bits
+        assert f"layout={layout} " in capsys.readouterr().err
+        assert context.inverted_db.mask_backend.layout == layout
 
     @pytest.mark.parametrize(
         "method, attrs",

@@ -10,6 +10,7 @@ import json
 import pytest
 
 import repro.core.masks as masks
+from repro.core.masks import ChunkedMaskBackend
 from repro.perf.suite import (
     SCHEMA_VERSION,
     _measure_size,
@@ -66,6 +67,16 @@ class TestMeasureSize:
             assert run["mask_backend"] == "bigint"
             assert run["mask_peak_bytes"] > 0
 
+    def test_layout_fields(self, tiny_entry):
+        # The chunk width rides beside the backend name (0 = bigint),
+        # and the entry records the mask bytes just after the build.
+        assert tiny_entry["mask_chunk_bits"] == 0
+        assert tiny_entry["runs"]["partial/overlap"]["mask_chunk_bits"] == 0
+        # On bigint the estimate is exactly what the build holds.
+        assert tiny_entry["mask_build_bytes"] == (
+            tiny_entry["bigint_mask_bytes_estimate"]
+        )
+
     def test_schema_v4_construction_seconds(self, tiny_entry):
         # Every series entry records the BuildInvertedDB wall-clock;
         # the tiny label has no recorded pre-columnar baseline.
@@ -100,8 +111,9 @@ class TestMeasureSize:
         )
 
     def test_counters_identical_across_mask_backends(self, monkeypatch):
-        # The size rule picks the backend; lowering its threshold puts
-        # the same tiny graph on chunked masks.
+        # The builder prices bigint cheapest on this tiny graph;
+        # leaving it one chunked layout to pick from puts the same
+        # graph on chunked masks.
         graph = sparse_scaling_graph(3)
         structural = (
             "initial_candidate_gains",
@@ -112,15 +124,20 @@ class TestMeasureSize:
             "iterations",
             "final_dl_bits",
         )
-        entries = {"bigint": _measure_size(graph, "communities=3")}
-        monkeypatch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
-        entries["chunked"] = _measure_size(graph, "communities=3")
-        reference = entries["bigint"]["runs"]["partial/overlap"]
-        for backend, entry in entries.items():
-            assert entry["mask_backend"] == backend
+        # Keyed by chunk width, 0 being bigint.
+        entries = {0: _measure_size(graph, "communities=3")}
+        for chunk_bits in (256, 4096):
+            monkeypatch.setattr(
+                masks, "LAYOUTS", (ChunkedMaskBackend(chunk_bits=chunk_bits),)
+            )
+            entries[chunk_bits] = _measure_size(graph, "communities=3")
+        reference = entries[0]["runs"]["partial/overlap"]
+        for chunk_bits, entry in entries.items():
+            assert entry["mask_chunk_bits"] == chunk_bits
+            assert entry["mask_backend"] == ("chunked" if chunk_bits else "bigint")
             run = entry["runs"]["partial/overlap"]
             for field in structural:
-                assert run[field] == reference[field], (backend, field)
+                assert run[field] == reference[field], (chunk_bits, field)
 
     def test_overlap_seeding_never_costlier(self, tiny_entry):
         # The full scan would seed one gain per possible pair.
@@ -257,11 +274,12 @@ class TestPokecSparse:
 
     @pytest.fixture(scope="class")
     def pokec_entry(self):
-        # Real members have 20,000+ vertices and resolve to chunked
-        # masks; the size rule's threshold is lowered to match here.
+        # Real members have 20,000+ vertices and the builder prices
+        # 256-bit chunks cheapest; this 100-vertex member is left
+        # that layout alone to match.
         graph = pokec_sparse_graph(4)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(masks, "AUTO_CHUNKED_MIN_BITS", 1)
+            patch.setattr(masks, "LAYOUTS", (ChunkedMaskBackend(),))
             return _measure_size(graph, "communities=4")
 
     def test_overlap_only_runs(self, pokec_entry):
@@ -316,6 +334,7 @@ class TestCheckBounds:
                             "label": "communities=48",
                             "seeding_gain_reduction": reduction,
                             "bigint_mask_bytes_estimate": 1000,
+                            "mask_build_bytes": 400,
                             "runs": {
                                 "partial/overlap": {
                                     "initial_candidate_gains": seed_gains,
@@ -398,6 +417,20 @@ class TestCheckBounds:
         failures = check_bounds(self.document(), bounds)
         assert len(failures) == 1 and "mask memory reduction" in failures[0]
 
+    def test_build_mask_memory_reduction_bound(self):
+        # The fixture document built its masks at 2.5x (1000 / 400).
+        bounds = {
+            "sparse-scaling": {
+                "communities=48": {"min_build_mask_memory_reduction": 2.0}
+            }
+        }
+        assert check_bounds(self.document(), bounds) == []
+        bounds["sparse-scaling"]["communities=48"][
+            "min_build_mask_memory_reduction"
+        ] = 3.0
+        failures = check_bounds(self.document(), bounds)
+        assert len(failures) == 1 and "build mask memory" in failures[0]
+
     def test_required_mask_backend(self):
         bounds = {
             "sparse-scaling": {
@@ -455,7 +488,9 @@ class TestCheckBounds:
         path = Path(__file__).parents[1] / "benchmarks" / "perf_bounds.json"
         bounds = json.loads(path.read_text())
         constrained = [k for k in bounds if not k.startswith("__")]
-        assert constrained == ["sparse-scaling", "pokec-sparse", "pokec-xl"]
+        assert constrained == [
+            "sparse-scaling", "pokec-sparse", "pokec-xl", "pokec-dense",
+        ]
         # pokec-xl never runs under --quick, so its section must stay
         # purely report-only (check_bounds would otherwise fail CI).
         for constraints in bounds["pokec-xl"].values():
@@ -465,6 +500,10 @@ class TestCheckBounds:
         # least 5x below the whole-graph bigint estimate.
         assert pokec["min_mask_memory_reduction"] >= 5.0
         assert pokec["require_mask_backend"] == "chunked"
+        # The dense member's build-time floor sits above what 256-bit
+        # chunks (0.91x) and bigint (1.00x) reach there.
+        dense = bounds["pokec-dense"]["scale=0.02"]
+        assert dense["min_build_mask_memory_reduction"] > 1.0
 
 
 class TestWorkloadCatalog:
@@ -483,6 +522,7 @@ class TestWorkloadCatalog:
         sparse = by_name["sparse-scaling"]
         assert any("communities=16" in label for label in sparse["quick"])
         assert any("communities=64" in label for label in sparse["full"])
+        assert by_name["pokec-dense"]["quick"] == ["scale=0.02"]
         xl = by_name["pokec-xl"]
         assert xl["quick"] == []  # full suite only
         assert any("communities=32000" in label for label in xl["full"])
